@@ -14,53 +14,31 @@ Produces, under --outdir:
                          model sinh^2(2*gamma*L/pi) and the dressed-channel
                          law sinh^2(gamma*L/sqrt(2))
 
-Both maps reuse the bundled sweep configs, so the JSON files are identical
-to `zenopdc sweep --config fig2|fig3` output.
+Both maps are written by `zenopdc sweep --config fig2|fig3`, so the JSON
+files are that command's output.
 """
 
 import argparse
-import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from zenopdc import (
-    CouplerParams,
-    SweepAxis,
-    SweepSpec,
-    max_signal_over_length,
-    resonant_vs_qpm,
-    sweep_2d,
-)
-from zenopdc.cli import _sweep_json_text
-
-
-def _bundled_spec(name: str) -> SweepSpec:
-    cfg = json.loads(resources.files("zenopdc").joinpath("configs", name).read_text())
-    return SweepSpec(
-        fixed=CouplerParams(**cfg["fixed"]),
-        axis1=SweepAxis(**cfg["axis1"]),
-        axis2=SweepAxis(**cfg["axis2"]),
-        engine=cfg["engine"],
-    )
+from zenopdc import cli, max_signal_over_length, resonant_vs_qpm
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", type=Path, default=Path("artifacts"))
-    parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--gamma", type=float, default=0.5)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    for config, target in (("fig2.json", "suppression_map.json"),
-                           ("fig3.json", "revival_map.json")):
-        grid = sweep_2d(_bundled_spec(config), threads=args.threads)
+    for config, target in (("fig2", "suppression_map.json"), ("fig3", "revival_map.json")):
         path = args.outdir / target
-        path.write_text(_sweep_json_text(grid))
-        print(f"wrote {path} ({grid.spec.axis1.count}x{grid.spec.axis2.count} cells,"
-              f" {grid.failures} failures)")
+        status = cli.main(["sweep", "--config", config, "--out", str(path)])
+        if status not in (cli.EXIT_OK, cli.EXIT_CELL_FAILURES):
+            return status
+        print(f"wrote {path}")
 
     kappas = np.linspace(0.5, 20.0, 40)
     lines = ["kappa,peak_n_s,envelope"]

@@ -3,8 +3,9 @@
 Every command reads an optional flat JSON config (``--config``, path or the
 bundled names fig2/fig3) and lets flags override config values.  Reports are
 JSON on stdout unless ``--out`` redirects them to a file; sweep and ridge can
-also emit CSV.  All artifacts are byte-deterministic, including across
-``--threads`` settings.
+also emit CSV.  All artifacts are byte-deterministic.  ``sweep --threads`` is
+accepted and validated but changes neither the work nor the output: sweeps
+run serially.
 
 Exit codes: 0 success; 2 invalid parameters/config/range; 3 engine-parameter
 mismatch (closed-form engine off its domain, classification at kappa = 0);
@@ -22,15 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .closed_forms import coupled_matched_occupations, n_s_mismatched_uncoupled
+from .closed_forms import closed_form_occupations
 from .dressed import propagate_dressed, qpm_comparison
 from .dynamics import check_symplectic, propagate_exact, propagate_ode, vacuum_occupations
-from .params import (
-    CouplerError,
-    CouplerParams,
-    DomainError,
-    InvalidParameterError,
-)
+from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError
 from .regimes import classify_regime
 from .sweeps import (
     ENGINE_NUMERIC,
@@ -199,18 +195,7 @@ def cmd_simulate(args) -> int:
     branch = None
     residual = None
     if engine == "closed-form":
-        if params.delta == 0.0:
-            n_s, n_i, n_b, branch = coupled_matched_occupations(
-                params.gamma, params.kappa, params.length
-            )
-        elif params.kappa == 0.0:
-            result = n_s_mismatched_uncoupled(params.gamma, params.delta, params.length)
-            n_s, n_i, n_b, branch = result.n_s, result.n_s, 0.0, result.branch
-        else:
-            raise DomainError(
-                "closed-form engine requires delta = 0 or kappa = 0; "
-                "use --engine exact (or ode) for the general case"
-            )
+        n_s, n_i, n_b, branch = closed_form_occupations(params)
     else:
         bmap = propagate_exact(params) if engine == "exact" else propagate_ode(params)
         occ = vacuum_occupations(bmap)
@@ -265,15 +250,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _sweep_spec_from(args) -> tuple[SweepSpec, int]:
-    config = _read_config(args.config) if args.config else {}
+def _sweep_spec_from(args, config: dict) -> SweepSpec:
     _check_keys(
         config,
         {"fixed", "axis1", "axis2", "engine", "out", "format", "threads"},
         "config",
         ignored=_SWEEP_RESULT_KEYS,
     )
-    fixed_cfg = dict(config.get("fixed", {}))
+    fixed_cfg = config.get("fixed", {})
+    if not isinstance(fixed_cfg, dict):
+        raise InvalidParameterError("sweep config 'fixed' must be an object")
+    fixed_cfg = dict(fixed_cfg)
     _check_keys(fixed_cfg, {*_PARAM_NAMES, "tol_sym", "tol_phys"}, "fixed")
     for name in _PARAM_NAMES:
         flag = getattr(args, name, None)
@@ -295,15 +282,13 @@ def _sweep_spec_from(args) -> tuple[SweepSpec, int]:
             raise InvalidParameterError(f"{key} is incomplete: {exc}") from exc
 
     engine = _resolve(args, config, "engine", ENGINE_NUMERIC)
-    threads = _resolve(args, config, "threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
-    return SweepSpec(fixed=fixed, axis1=axes[0], axis2=axes[1], engine=engine), threads
+    return SweepSpec(fixed=fixed, axis1=axes[0], axis2=axes[1], engine=engine)
 
 
 def cmd_sweep(args) -> int:
-    spec, threads = _sweep_spec_from(args)
     config = _read_config(args.config) if args.config else {}
+    spec = _sweep_spec_from(args, config)
+    threads = _resolve(args, config, "threads", 1)
     out = _resolve(args, config, "out", None)
     fmt = _resolve(args, config, "format", "json")
     if fmt not in ("json", "csv"):
@@ -325,7 +310,12 @@ def cmd_dressed_check(args) -> int:
     _require_json_format(fmt, "dressed-check")
     seed = _resolve(args, config, "seed", None)
     if seed is not None:
-        rng = np.random.default_rng(int(seed))
+        try:
+            rng = np.random.default_rng(int(seed))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"seed must be a non-negative integer, got {seed!r}"
+            ) from exc
         params = CouplerParams(
             gamma=rng.uniform(0.05, 1.5),
             kappa=rng.uniform(0.0, 10.0),
@@ -364,14 +354,18 @@ def cmd_dressed_check(args) -> int:
 def _parse_deltas(spec: str) -> list[float]:
     """Parse --delta for ridge: a single value or min:max:count."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) == 3:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1 or not lo < hi:
-            raise InvalidParameterError(f"bad delta range {spec!r}: need min < max and count >= 1")
-        return [float(x) for x in np.linspace(lo, hi, count)]
-    raise InvalidParameterError(f"bad delta range {spec!r}: use VALUE or MIN:MAX:COUNT")
+    if len(parts) not in (1, 3):
+        raise InvalidParameterError(f"bad delta range {spec!r}: use VALUE or MIN:MAX:COUNT")
+    try:
+        numbers = [float(p) for p in parts[:2]] + [int(p) for p in parts[2:]]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad delta range {spec!r}: {exc}") from exc
+    if len(numbers) == 1:
+        return numbers
+    lo, hi, count = numbers
+    if count < 1 or not lo < hi:
+        raise InvalidParameterError(f"bad delta range {spec!r}: need min < max and count >= 1")
+    return [float(x) for x in np.linspace(lo, hi, count)]
 
 
 def cmd_ridge(args) -> int:
@@ -385,8 +379,10 @@ def cmd_ridge(args) -> int:
     length = _resolve(args, config, "length", 1.5)
     if args.delta is not None:
         deltas = _parse_deltas(args.delta)
+    elif isinstance(config.get("deltas"), list):
+        deltas = config["deltas"]
     elif "deltas" in config:
-        deltas = [float(d) for d in config["deltas"]]
+        raise InvalidParameterError(f"config 'deltas' must be a list, got {config['deltas']!r}")
     else:
         raise InvalidParameterError("ridge needs --delta MIN:MAX:COUNT or config 'deltas'")
 
@@ -451,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="2-D grid of signal occupations")
     _add_common(p)
     p.add_argument("--engine", choices=ENGINES, help="per-cell engine policy")
-    p.add_argument("--threads", type=int, help="worker threads (output is identical)")
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility; sweeps run serially, output is identical")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dressed-check", help="cross-validate the dressed-frame route")

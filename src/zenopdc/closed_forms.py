@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import DomainError, require_finite as _require
+from .params import CouplerParams, DomainError, require_finite as _require
 
 #: Branch tags reported by the closed-form laws.
 BRANCH_TRIG = "trigonometric"
@@ -141,6 +141,24 @@ def n_s_mismatched_uncoupled(gamma: float, delta: float, length: float) -> Close
         branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
         s = _sin_ratio(x, length)
     return ClosedFormResult(n_s=(gamma * s) ** 2, branch=branch)
+
+
+def closed_form_occupations(params: CouplerParams) -> tuple[float, float, float, str]:
+    """(n_s, n_i, n_b, branch) from the closed form that covers ``params``.
+
+    Δ = 0 takes the matched probed law, else κ = 0 the mismatched unprobed
+    law (whose idler mirrors the signal and whose probe stays empty); any
+    other point raises DomainError.
+    """
+    if params.delta == 0.0:
+        return coupled_matched_occupations(params.gamma, params.kappa, params.length)
+    if params.kappa == 0.0:
+        result = n_s_mismatched_uncoupled(params.gamma, params.delta, params.length)
+        return result.n_s, result.n_s, 0.0, result.branch
+    raise DomainError(
+        "closed-form engine requires delta = 0 or kappa = 0; "
+        "use --engine exact (or ode) for the general case"
+    )
 
 
 def n_s_strong_coupling_asymptote(gamma: float, kappa: float, length: float) -> float:

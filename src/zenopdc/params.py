@@ -91,17 +91,8 @@ class CouplerParams:
 
     def __post_init__(self) -> None:
         for name in _FIELD_NAMES:
-            raw = getattr(self, name)
-            try:
-                value = float(raw)
-            except (TypeError, ValueError) as exc:
-                raise InvalidParameterError(f"{name} must be a real number, got {raw!r}") from exc
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+            value = require_finite(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
             object.__setattr__(self, name, value)
-        for name in _NONNEGATIVE:
-            if getattr(self, name) < 0.0:
-                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.tol_sym <= 0.0 or self.tol_phys <= 0.0:
             raise InvalidParameterError("tolerances must be > 0")
 

@@ -35,11 +35,6 @@ REGIME_OSCILLATORY = "oscillatory"
 REGIME_HYPERBOLIC = "hyperbolic"
 REGIME_BOUNDARY = "boundary"
 
-#: Number of scan points used to bracket discriminant sign changes.
-_SCAN_POINTS = 4096
-#: Bisection tolerance on κ for :func:`boundary_exact`.
-_BISECT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CubicCoefficients:
@@ -140,46 +135,54 @@ def regime_boundaries(gamma: float, delta: float) -> tuple[float, float]:
 def boundary_exact(gamma: float, delta: float) -> tuple[float, float]:
     """Exact boundary couplings: zeros of the true discriminant in κ.
 
-    Scans κ over (0, |Δ| + 4Γ + 1] with 4096 points, brackets each sign
-    change, and bisects to 1e-10.  Returns the pair (κ1, κ2), κ1 >= κ2.
-    Raises BoundaryNotFoundError when no sign change exists in the interval.
+    The depressed coefficients are affine in s = κ²: p = a - s and
+    q = b + 2Δs/3 with a = Γ² - Δ²/3 and b = ΔΓ²/3 - 2Δ³/27.  The boundary
+    condition D = (q/2)² + (p/3)³ = 0 is therefore the cubic
+
+        -27 D(s) = s³ - 3(a + Δ²) s² + (3a² - 9bΔ) s - (27b²/4 + a³)
+                 = s³ - (3Γ² + 2Δ²) s² + (3Γ⁴ - 5Γ²Δ² + Δ⁴) s + Γ⁴(Δ² - 4Γ²)/4,
+
+    solved here in units of |Δ|.  Its constant term is -27 D(κ = 0), so two
+    positive roots need |Δ| > 2Γ (conversion frozen at κ = 0); the third
+    root is then negative.  Returns the pair (κ1, κ2) = √s, κ1 >= κ2, from
+    the roots in (0, (|Δ| + 4Γ + 1)²].  Raises BoundaryNotFoundError when
+    fewer than two roots lie there or they are not resolvably distinct.
     """
     gamma = _require("gamma", gamma)
     delta = _require("delta", delta, nonnegative=False)
     if gamma == 0.0 or delta == 0.0:
-        raise DomainError("boundary scan requires gamma > 0 and delta != 0")
-
-    def disc(kappa: float) -> float:
-        return cubic_discriminant(
-            characteristic_cubic(CouplerParams(gamma, kappa, delta, 0.0))
-        )
-
+        raise DomainError("boundary search requires gamma > 0 and delta != 0")
+    g = gamma / abs(delta)
+    g2 = g * g
+    coeffs = CubicCoefficients(
+        c2=-(3.0 * g2 + 2.0),
+        c1=(3.0 * g2 - 5.0) * g2 + 1.0,
+        c0=0.25 * g2 * g2 * (1.0 - 2.0 * g) * (1.0 + 2.0 * g),
+    )
     k_max = abs(delta) + 4.0 * gamma + 1.0
-    step = k_max / _SCAN_POINTS
-    crossings: list[float] = []
-    k_prev = step
-    f_prev = disc(k_prev)
-    for i in range(2, _SCAN_POINTS + 1):
-        k_next = i * step
-        f_next = disc(k_next)
-        if f_prev == 0.0:
-            crossings.append(k_prev)
-        elif f_prev * f_next < 0.0:
-            a, b, fa = k_prev, k_next, f_prev
-            while b - a > _BISECT_TOL:
-                mid = 0.5 * (a + b)
-                fm = disc(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            crossings.append(0.5 * (a + b))
-        k_prev, f_prev = k_next, f_next
-    if len(crossings) < 2:
+    kappas: list[float] = []
+    # c0 <= 0 leaves one positive root; testing it first also keeps the
+    # O(g⁶) coefficients of |Δ| << Γ out of the discriminant.
+    if coeffs.c0 > 0.0 and (
+        (disc := cubic_discriminant(coeffs)) < -discriminant_tolerance(coeffs)
+    ):
+        # Just above |Δ| = 2Γ the κ = 0 cubic nears a double root and the
+        # smallest root s tends to 0.  The roots carry an absolute rounding
+        # error of some ulps of |c2| (at Γ = 3, Δ = 6 + 1e-13: s = 1.5e-14
+        # against a true 8.4e-15), so a root that small is noise posing as a
+        # boundary with the same regime on both sides, and is dropped.
+        s_floor = 1e-12 * abs(coeffs.c2)
+        s_max = (k_max / delta) * (k_max / delta)  # inf, not OverflowError, for tiny Δ
+        kappas = [
+            abs(delta) * math.sqrt(root.real)
+            for root in _cubic_roots(coeffs, disc)
+            if s_floor < root.real <= s_max
+        ]
+    if len(kappas) < 2:
         raise BoundaryNotFoundError(
-            f"expected two discriminant sign changes in (0, {k_max}], found {len(crossings)}"
+            f"expected two discriminant zeros in (0, {k_max}], found {len(kappas)}"
         )
-    return max(crossings), min(crossings)
+    return max(kappas), min(kappas)
 
 
 def _cubic_roots(

@@ -1,7 +1,7 @@
 """Deterministic 2-D parameter sweeps and the anti-Zeno ridge tracker.
 
-Grids are evaluated in row-major order with per-cell engine provenance, so
-repeated runs (and multi-threaded runs) produce byte-identical artifacts.
+Grids are evaluated serially in row-major order with per-cell engine
+provenance, so repeated runs produce byte-identical artifacts.
 Cell-level numerical failures are recorded as NaN with a "failed" tag rather
 than aborting the sweep.
 """
@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .closed_forms import n_s_coupled_matched, n_s_mismatched_uncoupled
+from .closed_forms import closed_form_occupations
 from .dynamics import propagate_exact, vacuum_occupations
 from .params import (
     CouplerError,
     CouplerParams,
+    DomainError,
     FlatLandscapeWarning,
     InvalidParameterError,
     require_finite as _require,
@@ -109,56 +109,36 @@ class RidgePoint:
 def _evaluate_cell(params: CouplerParams, engine: str) -> tuple[float, str]:
     """Signal occupation of one grid cell plus the engine tag that produced it."""
     if engine == ENGINE_CLOSED_WHEN_APPLICABLE:
-        if params.delta == 0.0:
-            return n_s_coupled_matched(params.gamma, params.kappa, params.length).n_s, TAG_CLOSED
-        if params.kappa == 0.0:
-            return (
-                n_s_mismatched_uncoupled(params.gamma, params.delta, params.length).n_s,
-                TAG_CLOSED,
-            )
+        try:
+            return closed_form_occupations(params)[0], TAG_CLOSED
+        except DomainError:
+            pass
     return vacuum_occupations(propagate_exact(params)).n_s, TAG_NUMERIC
 
 
 def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
-    """Evaluate the grid; identical output for any thread count.
+    """Evaluate the grid cell by cell in row-major order.
 
-    Cells are assigned by index, so parallel execution cannot reorder the
-    result.  A cell that raises a package error (or overflows) is recorded as
+    ``threads`` is validated and otherwise ignored: each cell is a handful of
+    3×3 numpy calls that hold the GIL, so worker threads would only slow the
+    sweep down.  A cell that raises a package error (or overflows) is recorded as
     NaN with provenance "failed" and counted in ``failures``.
     """
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
-    a1 = spec.axis1.grid()
+    shape = (spec.axis1.count, spec.axis2.count)
+    values = np.full(shape, np.nan)
+    provenance = np.full(shape, TAG_FAILED, dtype="<U16")
     a2 = spec.axis2.grid()
-    values = np.full((spec.axis1.count, spec.axis2.count), np.nan)
-    provenance = np.full((spec.axis1.count, spec.axis2.count), TAG_FAILED, dtype="<U16")
-    failures = 0
-
-    def run_cell(idx: tuple[int, int]) -> tuple[int, int, float, str]:
-        i, j = idx
-        try:
-            cell = replace(spec.fixed, **{spec.axis1.name: a1[i], spec.axis2.name: a2[j]})
-            value, tag = _evaluate_cell(cell, spec.engine)
-        except (CouplerError, OverflowError, FloatingPointError):
-            return i, j, math.nan, TAG_FAILED
-        return i, j, value, tag
-
-    indices = [(i, j) for i in range(spec.axis1.count) for j in range(spec.axis2.count)]
-    if threads == 1:
-        results = map(run_cell, indices)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, indices))
-    for i, j, value, tag in results:
-        values[i, j] = value
-        provenance[i, j] = tag
-        if tag == TAG_FAILED:
-            failures += 1
+    for i, x in enumerate(spec.axis1.grid()):
+        for j, y in enumerate(a2):
+            try:
+                cell = replace(spec.fixed, **{spec.axis1.name: x, spec.axis2.name: y})
+                values[i, j], provenance[i, j] = _evaluate_cell(cell, spec.engine)
+            except (CouplerError, OverflowError, FloatingPointError):
+                pass  # the cell stays NaN / "failed"
+    failures = int(np.count_nonzero(provenance == TAG_FAILED))
     return SweepGrid(spec=spec, values=values, provenance=provenance, failures=failures)
-
-
-def _n_s_numeric(params: CouplerParams) -> float:
-    return vacuum_occupations(propagate_exact(params)).n_s
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -204,7 +184,7 @@ def find_anti_zeno_ridge(
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
 
         def n_s(kappa: float, _delta: float = delta) -> float:
-            return _n_s_numeric(CouplerParams(gamma, kappa, _delta, length))
+            return _evaluate_cell(CouplerParams(gamma, kappa, _delta, length), ENGINE_NUMERIC)[0]
 
         kappas = np.linspace(0.0, 2.0 * delta, scan_points)
         scan = np.array([n_s(k) for k in kappas])
@@ -250,4 +230,6 @@ def max_signal_over_length(
 ) -> float:
     """Peak signal occupation over L ∈ [0, length_max] on a uniform grid."""
     grid = np.linspace(0.0, length_max, samples)
-    return max(_n_s_numeric(CouplerParams(gamma, kappa, delta, L)) for L in grid)
+    return max(
+        _evaluate_cell(CouplerParams(gamma, kappa, delta, L), ENGINE_NUMERIC)[0] for L in grid
+    )

@@ -237,7 +237,26 @@ def test_ridge_csv_single_delta():
 def test_ridge_bad_range_exits_2():
     assert run("ridge", "--delta", "5:3:4").returncode == 2
     assert run("ridge", "--delta", "1:2").returncode == 2
+    assert run("ridge", "--delta", "3:abc:4").returncode == 2
     assert run("ridge").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("ridge", {"gamma": 0.5, "length": 1.5, "deltas": 5}),
+        ("dressed-check", {"seed": "abc"}),
+        ("sweep", {"fixed": [1], "axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2},
+                   "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}}),
+    ],
+)
+def test_malformed_config_values_exit_2(tmp_path, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    proc = run(command, "--config", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_out_file_matches_stdout(tmp_path):

@@ -200,6 +200,52 @@ def test_boundary_exact_tightens_with_small_gain():
         assert a == pytest.approx(b, rel=1e-4)
 
 
+def test_boundary_exact_has_no_pair_at_delta_two_gamma():
+    # At |delta| = 2 gamma the kappa = 0 cubic has a double root, so s = 0
+    # solves the boundary cubic; only one positive boundary remains.
+    with pytest.raises(BoundaryNotFoundError):
+        boundary_exact(3.0, 6.0)
+
+
+def test_boundary_exact_finds_a_lower_boundary_near_kappa_zero():
+    # Just above |delta| = 2 gamma the lower boundary tends to kappa = 0.
+    delta = 6.000001
+    k1, k2 = boundary_exact(3.0, delta)
+    assert k2 == pytest.approx(1.7320e-3, rel=1e-4)
+    assert k1 == pytest.approx(9.99057, rel=1e-5)
+    assert classify_regime(_params(3.0, 0.99 * k2, delta)).regime == REGIME_OSCILLATORY
+    assert classify_regime(_params(3.0, 1.01 * k2, delta)).regime == REGIME_HYPERBOLIC
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # Below gamma ~ 1e-50 the discriminant, O(gamma^6), underflows to zero.
+    _finite(1e-40, 3.0),
+    _finite(-12.0, 12.0).filter(lambda d: d != 0.0),
+)
+def test_boundary_exact_roots_separate_the_regimes(gamma, delta):
+    try:
+        k1, k2 = boundary_exact(gamma, delta)
+    except BoundaryNotFoundError:
+        return
+    assert 0.0 < k2 < k1
+    for k in (k1, k2):
+        coeffs = characteristic_cubic(_params(gamma, k, delta))
+        assert abs(cubic_discriminant(coeffs)) <= discriminant_tolerance(coeffs)
+    # The discriminant is negative just outside the pair and positive between.
+    # A window can be narrower than the tag tolerance (gamma = 1e-5,
+    # delta = 4 is ~3e-5 wide), where the tag reads "boundary" -- but it never
+    # names the opposite regime.
+    for kappa, sign, regime in (
+        (0.99 * k2, -1.0, REGIME_OSCILLATORY),
+        (0.5 * (k1 + k2), 1.0, REGIME_HYPERBOLIC),
+        (1.01 * k1, -1.0, REGIME_OSCILLATORY),
+    ):
+        report = classify_regime(_params(gamma, kappa, delta))
+        assert sign * report.discriminant > 0.0
+        assert report.regime in (regime, REGIME_BOUNDARY)
+
+
 @settings(deadline=None, max_examples=100)
 @given(_finite(0.0, 2.0), _finite(0.05, 10.0), _finite(-10.0, 10.0))
 def test_roots_mirror_the_reversed_length_convention(gamma, kappa, delta):
