@@ -7,7 +7,8 @@ also emit CSV.  All artifacts are byte-deterministic.  ``sweep --threads`` is
 accepted and validated but changes neither the work nor the output: sweeps
 run serially.
 
-Exit codes: 0 success; 2 invalid parameters/config/range; 3 engine-parameter
+Exit codes: 0 success; 2 invalid parameters/config/range or an unwritable
+``--out`` (a missing directory is caught before any work); 3 engine-parameter
 mismatch (closed-form engine off its domain, classification at kappa = 0);
 4 sweep finished but some cells failed; 5 dressed-frame cross-check exceeded
 its tolerance.
@@ -127,11 +128,24 @@ def _jsonable(obj):
     return obj
 
 
+def _out_path(args, config: dict) -> str | None:
+    """Resolve ``out``; a missing directory fails here, before any work."""
+    out = _resolve(args, config, "out", None)
+    if out is not None and not isinstance(out, str):
+        raise InvalidParameterError(f"out must be a path string, got {out!r}")
+    if out and not Path(out).parent.is_dir():
+        raise InvalidParameterError(f"output directory does not exist: {Path(out).parent}")
+    return out
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_text(report: dict) -> str:
@@ -184,7 +198,7 @@ def cmd_simulate(args) -> int:
     _check_keys(config, {*_PARAM_NAMES, "engine", "out", "format"}, "config")
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
-    out = _resolve(args, config, "out", None)
+    out = _out_path(args, config)
     fmt = _resolve(args, config, "format", "json")
     _require_json_format(fmt, "simulate")
     if engine not in ("exact", "ode", "closed-form"):
@@ -220,7 +234,7 @@ def cmd_classify(args) -> int:
     config = _read_config(args.config) if args.config else {}
     _check_keys(config, {*_PARAM_NAMES, "out", "format"}, "config")
     params = _merge_params(args, config)
-    out = _resolve(args, config, "out", None)
+    out = _out_path(args, config)
     fmt = _resolve(args, config, "format", "json")
     _require_json_format(fmt, "classify")
     report = classify_regime(params)
@@ -289,7 +303,7 @@ def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
     spec = _sweep_spec_from(args, config)
     threads = _resolve(args, config, "threads", 1)
-    out = _resolve(args, config, "out", None)
+    out = _out_path(args, config)
     fmt = _resolve(args, config, "format", "json")
     if fmt not in ("json", "csv"):
         raise InvalidParameterError(f"format must be json or csv, got {fmt!r}")
@@ -305,7 +319,7 @@ def cmd_sweep(args) -> int:
 def cmd_dressed_check(args) -> int:
     config = _read_config(args.config) if args.config else {}
     _check_keys(config, {*_PARAM_NAMES, "seed", "out", "format"}, "config")
-    out = _resolve(args, config, "out", None)
+    out = _out_path(args, config)
     fmt = _resolve(args, config, "format", "json")
     _require_json_format(fmt, "dressed-check")
     seed = _resolve(args, config, "seed", None)
@@ -371,7 +385,7 @@ def _parse_deltas(spec: str) -> list[float]:
 def cmd_ridge(args) -> int:
     config = _read_config(args.config) if args.config else {}
     _check_keys(config, {"gamma", "length", "deltas", "out", "format"}, "config")
-    out = _resolve(args, config, "out", None)
+    out = _out_path(args, config)
     fmt = _resolve(args, config, "format", "json")
     if fmt not in ("json", "csv"):
         raise InvalidParameterError(f"format must be json or csv, got {fmt!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import MODES, BogoliubovMap, ModeOccupations, _expm_i, _map_from_transfer
+from .dynamics import BogoliubovMap, ModeOccupations, expm_i, map_from_transfer
 from .params import CouplerParams, DomainError, require_finite as _require
 
 #: Mode order of the dressed-basis maps: signal, symmetric, antisymmetric.
@@ -88,9 +88,9 @@ def dressed_bogoliubov_map(params: CouplerParams) -> BogoliubovMap:
     signal row needs the factor e^{-iΔL}.
     """
     n = build_dressed_generator(params.gamma, params.kappa, params.delta)
-    w = _expm_i(n, params.length)
+    w = expm_i(n, params.length)
     w = np.array([np.exp(-1j * params.delta * params.length), 1.0, 1.0])[:, None] * w
-    return _map_from_transfer(w, params, modes=DRESSED_MODES)
+    return map_from_transfer(w, params, modes=DRESSED_MODES)
 
 
 def propagate_dressed(params: CouplerParams) -> ModeOccupations:

@@ -14,8 +14,9 @@ constant real generator
          [ -Γ,  -Δ/2,  -κ  ],
          [  0,   -κ,  -Δ/2 ]].
 
-``propagate_exact`` exponentiates M and reattaches the frame phases
-e^{∓iΔL/2}, so the returned map refers to the original (unrotated) operators.
+``propagate_exact`` exponentiates M with :func:`expm_i`, the package's one
+matrix-exponential kernel, and reattaches the frame phases e^{∓iΔL/2}, so the
+returned map refers to the original (unrotated) operators.
 ``propagate_ode`` integrates the time-dependent system directly, with no
 rotating frame, and serves as an independent numerical oracle.
 """
@@ -28,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 from scipy import linalg as sla
-from scipy.integrate import solve_ivp
 
 from .params import (
     CouplerParams,
@@ -39,14 +39,6 @@ from .params import (
 
 #: Mode order used by every map in this package: signal, idler, probe.
 MODES = ("s", "i", "b")
-
-#: Condition-number limit for the eigenvector matrix above which the
-#: eigendecomposition route is abandoned in favour of scaling-and-squaring.
-#: Near the defective parameter set cond(S) grows like 1/|κ-Γ| and the
-#: eig-route symplectic residual is roughly cond * eps * 40, so 1e5 keeps the
-#: residual two decades under the 1e-10 guarantee while the Padé fallback is
-#: exact to machine precision on the defective set itself.
-EIG_COND_LIMIT = 1e5
 
 
 @dataclass(frozen=True)
@@ -92,31 +84,15 @@ def build_generator(params: CouplerParams) -> NDArray[np.float64]:
     )
 
 
-def _expm_i(m: NDArray[np.float64], t: float) -> NDArray[np.complex128]:
-    """exp(i m t) for the 3x3 real generator.
+def expm_i(m: NDArray[np.float64], t: float) -> NDArray[np.complex128]:
+    """exp(i m t) for a real 3x3 generator, by scaling-and-squaring Padé.
 
-    Eigendecomposition in the generic (diagonalizable) case; scaling-and-
-    squaring Padé when the eigenvector matrix is ill-conditioned, which
-    happens only near defective parameter sets (coalescing roots of the
-    characteristic cubic).
+    Unlike an eigendecomposition it needs no switch near the defective set,
+    where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
+    |Δ| = 2Γ at κ = 0).  Entries that overflow float64 raise NumericError.
     """
-    if t == 0.0:
-        return np.eye(3, dtype=np.complex128)
-    use_eig = True
-    vals = vecs = None
-    try:
-        vals, vecs = np.linalg.eig(m)
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond > EIG_COND_LIMIT:
-            use_eig = False
-    except np.linalg.LinAlgError:
-        use_eig = False
     with np.errstate(over="ignore", invalid="ignore"):
-        if use_eig:
-            phases = np.exp(1j * t * vals)
-            out = np.linalg.solve(vecs.T, (vecs * phases).T).T
-        else:
-            out = sla.expm(1j * t * np.asarray(m, dtype=np.complex128))
+        out = sla.expm(1j * t * m)
     if not np.all(np.isfinite(out)):
         raise NumericError(
             f"matrix exponential produced non-finite entries for t={t!r}"
@@ -130,7 +106,7 @@ def _frame_phases(params: CouplerParams) -> NDArray[np.complex128]:
     return np.array([np.exp(-1j * half), np.exp(1j * half), np.exp(1j * half)])
 
 
-def _map_from_transfer(
+def map_from_transfer(
     w: NDArray[np.complex128], params: CouplerParams, modes: tuple[str, ...] = MODES
 ) -> BogoliubovMap:
     """Split the transfer matrix on (a_s†, a_i, b) into annihilation-basis blocks.
@@ -158,8 +134,8 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     are then reattached row-wise.
     """
     m = build_generator(params)
-    w = _frame_phases(params)[:, None] * _expm_i(m, params.length)
-    return _map_from_transfer(w, params)
+    w = _frame_phases(params)[:, None] * expm_i(m, params.length)
+    return map_from_transfer(w, params)
 
 
 def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> BogoliubovMap:
@@ -182,7 +158,9 @@ def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> Bogol
     if not math.isfinite(tol) or tol <= 0.0:
         raise InvalidParameterError(f"step_tolerance must be > 0, got {step_tolerance!r}")
     if params.length == 0.0:
-        return _map_from_transfer(np.eye(3, dtype=np.complex128), params)
+        return map_from_transfer(np.eye(3, dtype=np.complex128), params)
+
+    from scipy.integrate import solve_ivp  # the oracle alone pays this import
 
     g, k, d = params.gamma, params.kappa, params.delta
 
@@ -203,7 +181,7 @@ def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> Bogol
     if not sol.success:
         raise IntegrationError(f"adaptive integrator failed: {sol.message}")
     w = sol.y[:, -1].copy().view(np.complex128).reshape(3, 3)
-    return _map_from_transfer(w, params)
+    return map_from_transfer(w, params)
 
 
 def vacuum_occupations(bmap: BogoliubovMap) -> ModeOccupations:

@@ -227,15 +227,21 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
 
     The tag is "oscillatory" for discriminant < -tol (frozen conversion),
     "hyperbolic" for discriminant > +tol (compensated growth), "boundary"
-    within the scale-aware tolerance.  ``boundary_kappas`` holds the weak-gain
-    approximate pair when it exists, None when it does not.
+    within the scale-aware tolerance, applied to the cubic in units of
+    r = max(Γ, κ, |Δ|) so that the tag, like the physics, is invariant under
+    :meth:`CouplerParams.rescaled`; the reported values stay physical.
+    ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
+    None when it does not.
     """
     coeffs = characteristic_cubic(params)
     disc = cubic_discriminant(coeffs)
-    tol = discriminant_tolerance(coeffs)
-    if disc < -tol:
+    r = max(params.gamma, params.kappa, abs(params.delta))
+    unit = CubicCoefficients(coeffs.c2 / r, coeffs.c1 / r / r, coeffs.c0 / r / r / r)
+    unit_disc = cubic_discriminant(unit)
+    tol = discriminant_tolerance(unit)
+    if unit_disc < -tol:
         regime = REGIME_OSCILLATORY
-    elif disc > tol:
+    elif unit_disc > tol:
         regime = REGIME_HYPERBOLIC
     else:
         regime = REGIME_BOUNDARY

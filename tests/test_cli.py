@@ -265,3 +265,28 @@ def test_out_file_matches_stdout(tmp_path):
     filed = run("simulate", "--gamma", "0.5", "--out", str(out))
     assert filed.returncode == 0 and filed.stdout == ""
     assert out.read_text() == direct.stdout
+
+
+def test_out_into_missing_directory_exits_2_before_work(tmp_path, monkeypatch, capsys):
+    from zenopdc import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep ran although its --out cannot be written")
+
+    monkeypatch.setattr(cli, "sweep_2d", no_work)
+    missing = str(tmp_path / "missing" / "x.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": 5}))
+    for argv in (
+        ["simulate", "--config", str(config)],
+        ["sweep", "--config", "fig2", "--out", missing],
+        ["simulate", "--gamma", "0.5", "--out", missing],
+        ["classify", "--kappa", "1", "--out", missing],
+        ["dressed-check", "--seed", "1", "--out", missing],
+        ["ridge", "--delta", "5", "--out", missing],
+        # the directory exists but the path is unwritable: the write fails
+        ["simulate", "--gamma", "0.5", "--out", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,6 +1,8 @@
 """Propagator core: generator, exact/ODE maps, invariants, composition."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from zenopdc import (
     build_generator,
     check_symplectic,
     compose,
+    n_s_mismatched_uncoupled,
     propagate_exact,
     propagate_ode,
     vacuum_occupations,
@@ -145,8 +148,9 @@ def test_uncoupled_unmatched_is_pure_probe_rotation():
 
 
 def test_near_defective_coupling_stays_accurate():
-    # kappa -> gamma collapses two generator eigenvalues; the propagator must
-    # switch away from the eigendecomposition without losing accuracy.
+    # kappa -> gamma at delta = 0, and delta -> 2 gamma at kappa = 0, each
+    # collapse two generator eigenvalues onto a defective generator; the
+    # matrix exponential must not lose accuracy on or near that set.
     for eps in (0.0, 1e-12, 1e-9, 1e-7):
         p = CouplerParams(0.5, 0.5 * (1.0 + eps), 0.0, 2.0)
         bmap = propagate_exact(p)
@@ -155,6 +159,12 @@ def test_near_defective_coupling_stays_accurate():
         # at threshold: n_s = (gamma L)^2 + (gamma L)^4 / 4
         gl = 0.5 * 2.0
         assert occ.n_s == pytest.approx(gl**2 + gl**4 / 4.0, rel=1e-6)
+
+        p = CouplerParams(0.5, 0.0, 2.0 * 0.5 * (1.0 + eps), 2.0)
+        bmap = propagate_exact(p)
+        assert check_symplectic(bmap) <= p.tol_sym
+        exact = n_s_mismatched_uncoupled(p.gamma, p.delta, p.length).n_s
+        assert vacuum_occupations(bmap).n_s == pytest.approx(exact, rel=1e-12)
 
 
 def test_occupation_overflow_raises():
@@ -171,3 +181,12 @@ def test_symplectic_residual_detects_doctored_map():
     v_peak = float(np.max(np.abs(bmap.v_block)))
     assert v_peak > 0.1
     assert check_symplectic(doctored) >= 3.0 * v_peak**2 - 1e-12
+
+
+def test_import_leaves_the_ode_integrator_unloaded():
+    # scipy.integrate serves only the ODE oracle; importing the package must
+    # not pay for it.
+    code = "import sys, zenopdc; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -311,3 +311,18 @@ def test_tiny_coefficient_cubic_keeps_accurate_roots():
         assert residual <= 1e-9 * scale
     assert max(abs(z) for z in report.roots) == pytest.approx(3.9063e-3, rel=1e-3)
     assert sum(1 for z in report.roots if abs(z.imag) > 1e-6) == 2
+
+
+@pytest.mark.parametrize(
+    "point, regime",
+    [
+        ((0.5, 5.0, 5.0, 1.0), REGIME_HYPERBOLIC),
+        ((0.5, 2.0, 5.0, 1.0), REGIME_OSCILLATORY),
+        ((1.0, 1.0, 5.96e-8, 1.0), REGIME_BOUNDARY),
+    ],
+)
+def test_regime_tag_is_scale_invariant(point, regime):
+    # (cΓ, cκ, cΔ, L/c) is the same physics, so it must get the same tag.
+    params = CouplerParams(*point)
+    for c in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+        assert classify_regime(params.rescaled(c)).regime == regime
