@@ -1,17 +1,21 @@
 """Command-line interface: simulate | classify | sweep | dressed-check | ridge.
 
-Every command reads an optional flat JSON config (``--config``, path or the
-bundled names fig2/fig3) and lets flags override config values.  Reports are
-JSON on stdout unless ``--out`` redirects them to a file; sweep and ridge can
-also emit CSV.  All artifacts are byte-deterministic.  ``sweep --threads`` is
-accepted and validated but changes neither the work nor the output: sweeps
-run serially.
+Every command goes through one request path in :func:`main`: read the
+optional flat JSON config (``--config``, a path or the bundled names
+fig2/fig3), reject keys the command does not declare, resolve ``--out`` and
+``--format`` (flags override config values), run the command, and write its
+artifact.  Reports are JSON on stdout unless ``--out`` redirects them to a
+file; sweep and ridge can also emit CSV, while simulate, classify and
+dressed-check take only JSON.  All artifacts are byte-deterministic.
+``sweep --threads`` is accepted and validated but changes neither the work
+nor the output: sweeps run serially.
 
-Exit codes: 0 success; 2 invalid parameters/config/range or an unwritable
-``--out`` (a missing directory is caught before any work); 3 engine-parameter
-mismatch (closed-form engine off its domain, classification at kappa = 0);
-4 sweep finished but some cells failed; 5 dressed-frame cross-check exceeded
-its tolerance.
+Exit codes: 0 success; 2 invalid parameters/config/range (including an
+unreadable config file and a JSON boolean where a number belongs) or an
+unwritable ``--out`` (a missing directory is caught before any work);
+3 engine-parameter mismatch (closed-form engine off its domain,
+classification at kappa = 0); 4 sweep finished but some cells failed;
+5 dressed-frame cross-check exceeded its tolerance.
 """
 
 from __future__ import annotations
@@ -50,14 +54,21 @@ DRESSED_CHECK_TOL = 1e-8
 
 _PARAM_DEFAULTS = {"gamma": 0.5, "kappa": 0.0, "delta": 0.0, "length": 1.0}
 _PARAM_NAMES = ("gamma", "kappa", "delta", "length")
+_PARAM_HELP = {
+    "gamma": "downconversion gain (1/length)",
+    "kappa": "idler-probe coupling (1/length)",
+    "delta": "pump phase mismatch (1/length)",
+    "length": "interaction length",
+}
+_TOLERANCES = ("tol_sym", "tol_phys")
 _BUNDLED_CONFIGS = {
     "fig2": "fig2.json",
     "fig2.json": "fig2.json",
     "fig3": "fig3.json",
     "fig3.json": "fig3.json",
 }
-#: Result keys a sweep artifact carries beyond its spec; ignored on re-ingest
-#: so that a sweep's JSON output is itself a valid config.
+#: Result keys a sweep artifact carries beyond its spec; accepted and ignored
+#: on re-ingest so that a sweep's JSON output is itself a valid config.
 _SWEEP_RESULT_KEYS = frozenset({"values", "provenance", "failures"})
 
 
@@ -66,13 +77,15 @@ _SWEEP_RESULT_KEYS = frozenset({"values", "provenance", "failures"})
 
 def _read_config(spec: str) -> dict:
     path = Path(spec)
-    if path.exists():
-        text = path.read_text()
-    else:
+    if not path.exists():
         bundled = _BUNDLED_CONFIGS.get(spec)
         if bundled is None:
             raise InvalidParameterError(f"config not found: {spec}")
-        text = resources.files("zenopdc").joinpath("configs", bundled).read_text()
+        path = resources.files("zenopdc").joinpath("configs", bundled)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read config {spec}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -82,23 +95,17 @@ def _read_config(spec: str) -> dict:
     return data
 
 
-def _check_keys(data: dict, allowed: set, what: str, ignored: frozenset = frozenset()) -> None:
-    unknown = set(data) - allowed - ignored
+def _check_keys(data: dict, allowed: set, what: str) -> None:
+    unknown = set(data) - allowed
     if unknown:
         raise InvalidParameterError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _merge_params(args, config: dict) -> CouplerParams:
-    """Resolve gamma/kappa/delta/length from flags > config > defaults."""
-    values = {}
+    """Resolve gamma/kappa/delta/length from flags > config > defaults; tolerances from config."""
+    values = {name: config[name] for name in _TOLERANCES if name in config}
     for name in _PARAM_NAMES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-        elif name in config:
-            values[name] = config[name]
-        else:
-            values[name] = _PARAM_DEFAULTS[name]
+        values[name] = _resolve(args, config, name, _PARAM_DEFAULTS[name])
     return CouplerParams(**values)
 
 
@@ -144,7 +151,7 @@ def _emit(text: str, out: str | None) -> None:
         return
     try:
         Path(out).write_text(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable character
         raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
 
 
@@ -154,11 +161,6 @@ def _json_text(report: dict) -> str:
 
 def _params_echo(params: CouplerParams) -> dict:
     return {name: getattr(params, name) for name in _PARAM_NAMES}
-
-
-def _require_json_format(fmt: str, command: str) -> None:
-    if fmt != "json":
-        raise InvalidParameterError(f"{command} supports only --format json, got {fmt!r}")
 
 
 def _sweep_json_text(grid: SweepGrid) -> str:
@@ -191,16 +193,15 @@ def _sweep_csv_text(grid: SweepGrid) -> str:
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each command receives the parsed flags, the config (its keys already
+# checked) and the resolved format, and returns (artifact text, exit code);
+# ``main`` writes the artifact.
 
 
-def cmd_simulate(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    _check_keys(config, {*_PARAM_NAMES, "engine", "out", "format"}, "config")
+def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int]:
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
-    out = _out_path(args, config)
-    fmt = _resolve(args, config, "format", "json")
-    _require_json_format(fmt, "simulate")
     if engine not in ("exact", "ode", "closed-form"):
         raise InvalidParameterError(
             f"engine must be exact, ode, or closed-form, got {engine!r}"
@@ -226,17 +227,11 @@ def cmd_simulate(args) -> int:
         "symplectic_residual": residual,
         "branch": branch,
     }
-    _emit(_json_text(report), out)
-    return EXIT_OK
+    return _json_text(report), EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    _check_keys(config, {*_PARAM_NAMES, "out", "format"}, "config")
+def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int]:
     params = _merge_params(args, config)
-    out = _out_path(args, config)
-    fmt = _resolve(args, config, "format", "json")
-    _require_json_format(fmt, "classify")
     report = classify_regime(params)
     doc = {
         "command": "classify",
@@ -260,29 +255,15 @@ def cmd_classify(args) -> int:
         f"regime: {report.regime} (discriminant {report.discriminant:.6g}){window}",
         file=sys.stderr,
     )
-    _emit(_json_text(doc), out)
-    return EXIT_OK
+    return _json_text(doc), EXIT_OK
 
 
 def _sweep_spec_from(args, config: dict) -> SweepSpec:
-    _check_keys(
-        config,
-        {"fixed", "axis1", "axis2", "engine", "out", "format", "threads"},
-        "config",
-        ignored=_SWEEP_RESULT_KEYS,
-    )
     fixed_cfg = config.get("fixed", {})
     if not isinstance(fixed_cfg, dict):
         raise InvalidParameterError("sweep config 'fixed' must be an object")
-    fixed_cfg = dict(fixed_cfg)
-    _check_keys(fixed_cfg, {*_PARAM_NAMES, "tol_sym", "tol_phys"}, "fixed")
-    for name in _PARAM_NAMES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            fixed_cfg[name] = flag
-        elif name not in fixed_cfg:
-            fixed_cfg[name] = _PARAM_DEFAULTS[name]
-    fixed = CouplerParams(**fixed_cfg)
+    _check_keys(fixed_cfg, {*_PARAM_NAMES, *_TOLERANCES}, "fixed")
+    fixed = _merge_params(args, fixed_cfg)
 
     axes = []
     for key in ("axis1", "axis2"):
@@ -299,45 +280,30 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
     return SweepSpec(fixed=fixed, axis1=axes[0], axis2=axes[1], engine=engine)
 
 
-def cmd_sweep(args) -> int:
-    config = _read_config(args.config) if args.config else {}
+def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int]:
     spec = _sweep_spec_from(args, config)
-    threads = _resolve(args, config, "threads", 1)
-    out = _out_path(args, config)
-    fmt = _resolve(args, config, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise InvalidParameterError(f"format must be json or csv, got {fmt!r}")
-    grid = sweep_2d(spec, threads=threads)
+    grid = sweep_2d(spec, threads=_resolve(args, config, "threads", 1))
     text = _sweep_csv_text(grid) if fmt == "csv" else _sweep_json_text(grid)
-    _emit(text, out)
     if grid.failures:
         print(f"{grid.failures} grid cells failed (tagged NaN)", file=sys.stderr)
-        return EXIT_CELL_FAILURES
-    return EXIT_OK
+        return text, EXIT_CELL_FAILURES
+    return text, EXIT_OK
 
 
-def cmd_dressed_check(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    _check_keys(config, {*_PARAM_NAMES, "seed", "out", "format"}, "config")
-    out = _out_path(args, config)
-    fmt = _resolve(args, config, "format", "json")
-    _require_json_format(fmt, "dressed-check")
+def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int]:
     seed = _resolve(args, config, "seed", None)
-    if seed is not None:
-        try:
-            rng = np.random.default_rng(int(seed))
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(
-                f"seed must be a non-negative integer, got {seed!r}"
-            ) from exc
+    if seed is None:
+        params = _merge_params(args, config)
+    elif isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    else:
+        rng = np.random.default_rng(seed)
         params = CouplerParams(
             gamma=rng.uniform(0.05, 1.5),
             kappa=rng.uniform(0.0, 10.0),
             delta=rng.uniform(-10.0, 10.0),
             length=rng.uniform(0.0, 3.0),
         )
-    else:
-        params = _merge_params(args, config)
     direct = vacuum_occupations(propagate_exact(params))
     dressed = propagate_dressed(params)
     residual = max(
@@ -361,8 +327,7 @@ def cmd_dressed_check(args) -> int:
         "passed": passed,
         "qpm": qpm_doc,
     }
-    _emit(_json_text(report), out)
-    return EXIT_OK if passed else EXIT_DRESSED_MISMATCH
+    return _json_text(report), EXIT_OK if passed else EXIT_DRESSED_MISMATCH
 
 
 def _parse_deltas(spec: str) -> list[float]:
@@ -382,13 +347,7 @@ def _parse_deltas(spec: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def cmd_ridge(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    _check_keys(config, {"gamma", "length", "deltas", "out", "format"}, "config")
-    out = _out_path(args, config)
-    fmt = _resolve(args, config, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise InvalidParameterError(f"format must be json or csv, got {fmt!r}")
+def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int]:
     gamma = _resolve(args, config, "gamma", 0.5)
     length = _resolve(args, config, "length", 1.5)
     if args.delta is not None:
@@ -409,36 +368,35 @@ def cmd_ridge(args) -> int:
         lines = ["delta,kappa_opt,n_s_max"]
         for p in points:
             lines.append(f"{p.delta!r},{p.kappa_opt!r},{p.n_s_max!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json_text(
-            {
-                "command": "ridge",
-                "gamma": gamma,
-                "length": length,
-                "points": [
-                    {"delta": p.delta, "kappa_opt": p.kappa_opt, "n_s_max": p.n_s_max}
-                    for p in points
-                ],
-                "fit": fit,
-            }
-        )
-    _emit(text, out)
-    return EXIT_OK
+        return "\n".join(lines) + "\n", EXIT_OK
+    doc = {
+        "command": "ridge",
+        "gamma": gamma,
+        "length": length,
+        "points": [
+            {"delta": p.delta, "kappa_opt": p.kappa_opt, "n_s_max": p.n_s_max}
+            for p in points
+        ],
+        "fit": fit,
+    }
+    return _json_text(doc), EXIT_OK
 
 
 # -------------------------------------------------------------------- parser
 
 
-def _add_common(sub: argparse.ArgumentParser, length: bool = True) -> None:
-    sub.add_argument("--gamma", type=float, help="downconversion gain (1/length)")
-    sub.add_argument("--kappa", type=float, help="idler-probe coupling (1/length)")
-    sub.add_argument("--delta", type=float, help="pump phase mismatch (1/length)")
-    if length:
-        sub.add_argument("--length", type=float, help="interaction length")
-    sub.add_argument("--config", help="JSON config file (or bundled: fig2, fig3)")
-    sub.add_argument("--out", help="write the report/artifact to this path")
-    sub.add_argument("--format", choices=("json", "csv"), help="artifact format")
+def _add_command(sub, name: str, func, summary: str, keys, formats=("json",), flags=_PARAM_NAMES):
+    """Register ``name``: a float flag per parameter in ``flags``, the shared
+    --config/--out/--format, and the config ``keys`` and ``formats`` that
+    :func:`main` checks before it calls ``func``."""
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(f"--{flag}", type=float, help=_PARAM_HELP[flag])
+    p.add_argument("--config", help="JSON config file (or bundled: fig2, fig3)")
+    p.add_argument("--out", help="write the report/artifact to this path")
+    p.add_argument("--format", choices=("json", "csv"), help="artifact format")
+    p.set_defaults(func=func, config_keys={*keys, "out", "format"}, formats=formats)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,44 +406,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="occupations for one parameter point")
-    _add_common(p)
+    p = _add_command(sub, "simulate", cmd_simulate, "occupations for one parameter point",
+                     keys={*_PARAM_NAMES, "engine"})
     p.add_argument("--engine", choices=("exact", "ode", "closed-form"),
                    help="propagation engine (default exact)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("classify", help="dynamical regime from the frequency cubic")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
+    _add_command(sub, "classify", cmd_classify, "dynamical regime from the frequency cubic",
+                 keys=_PARAM_NAMES)
 
-    p = sub.add_parser("sweep", help="2-D grid of signal occupations")
-    _add_common(p)
+    p = _add_command(sub, "sweep", cmd_sweep, "2-D grid of signal occupations",
+                     keys={"fixed", "axis1", "axis2", "engine", "threads", *_SWEEP_RESULT_KEYS},
+                     formats=("json", "csv"))
     p.add_argument("--engine", choices=ENGINES, help="per-cell engine policy")
     p.add_argument("--threads", type=int,
                    help="accepted for compatibility; sweeps run serially, output is identical")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("dressed-check", help="cross-validate the dressed-frame route")
-    _add_common(p)
+    p = _add_command(sub, "dressed-check", cmd_dressed_check,
+                     "cross-validate the dressed-frame route", keys={*_PARAM_NAMES, "seed"})
     p.add_argument("--seed", type=int, help="draw random parameters instead of flags")
-    p.set_defaults(func=cmd_dressed_check)
 
-    p = sub.add_parser("ridge", help="track the anti-Zeno ridge kappa_opt(delta)")
-    p.add_argument("--gamma", type=float, help="downconversion gain (1/length)")
-    p.add_argument("--length", type=float, help="interaction length")
+    p = _add_command(sub, "ridge", cmd_ridge, "track the anti-Zeno ridge kappa_opt(delta)",
+                     keys={"gamma", "length", "deltas"}, formats=("json", "csv"),
+                     flags=("gamma", "length"))
     p.add_argument("--delta", help="mismatch values: VALUE or MIN:MAX:COUNT")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="write the report/artifact to this path")
-    p.add_argument("--format", choices=("json", "csv"), help="artifact format")
-    p.set_defaults(func=cmd_ridge)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _read_config(args.config) if args.config else {}
+        _check_keys(config, args.config_keys, "config")
+        out = _out_path(args, config)
+        fmt = _resolve(args, config, "format", "json")
+        if fmt not in args.formats:
+            raise InvalidParameterError(
+                f"{args.command} supports only --format {' or '.join(args.formats)}, got {fmt!r}"
+            )
+        text, code = args.func(args, config, fmt)
+        _emit(text, out)
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

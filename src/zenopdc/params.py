@@ -46,7 +46,12 @@ _NONNEGATIVE = ("gamma", "kappa", "length")
 
 
 def require_finite(name: str, value: float, nonnegative: bool = True) -> float:
-    """Coerce ``value`` to a finite float, optionally >= 0, or raise."""
+    """Coerce ``value`` to a finite float, optionally >= 0, or raise.
+
+    A bool is rejected: ``true`` in a config is malformed, not the rate 1.0.
+    """
+    if isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except (TypeError, ValueError) as exc:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 CMD = [sys.executable, "-m", "zenopdc"]
 
@@ -248,6 +250,11 @@ def test_ridge_bad_range_exits_2():
         ("dressed-check", {"seed": "abc"}),
         ("sweep", {"fixed": [1], "axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2},
                    "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}}),
+        ("dressed-check", {"seed": math.inf}),
+        ("dressed-check", {"seed": 1.5}),
+        ("dressed-check", {"seed": True}),
+        ("simulate", {"gamma": True}),
+        ("ridge", {"gamma": 0.5, "length": 1.5, "deltas": [1, 2, True]}),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, command, config):
@@ -290,3 +297,66 @@ def test_out_into_missing_directory_exits_2_before_work(tmp_path, monkeypatch, c
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    from zenopdc import cli
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"gamma": "\xe9"}')
+    for config in (tmp_path, latin1):
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
+# Config keys each command declares (besides "out" and "format").
+_COMMAND_KEYS = {
+    "simulate": ["gamma", "kappa", "delta", "length", "engine"],
+    "classify": ["gamma", "kappa", "delta", "length"],
+    "sweep": ["fixed", "axis1", "axis2", "engine", "threads", "values", "provenance", "failures"],
+    "dressed-check": ["gamma", "kappa", "delta", "length", "seed"],
+    "ridge": ["gamma", "length", "deltas"],
+}
+_NESTED_KEYS = ["gamma", "kappa", "delta", "length", "tol_sym", "tol_phys",
+                "name", "start", "stop", "count"]
+_WORDS = ["gamma", "kappa", "delta", "length", "exact", "ode", "closed-form",
+          "numeric", "closed_form_when_applicable", "json", "csv"]
+# Sizes stay small (counts <= 6, lists <= 3) so that a drawn sweep is cheap.
+# No "/" in strings: a drawn "out" is written relative to the working directory.
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-6.0, 6.0),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text(st.characters(blacklist_characters="/"), max_size=4),
+    st.sampled_from(_WORDS),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_NESTED_KEYS), inner, max_size=4),
+    max_leaves=8,
+)
+_CASES = st.sampled_from(sorted(_COMMAND_KEYS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        st.dictionaries(st.sampled_from([*_COMMAND_KEYS[command], "out", "format"]), _VALUES,
+                        max_size=6),
+    )
+)
+
+
+@settings(max_examples=100, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_CASES)
+@example(case=("dressed-check", {"seed": float("inf")}))
+def test_cli_config_fuzz_exits_with_documented_codes(tmp_path, monkeypatch, case):
+    from zenopdc import cli
+
+    command, config = case
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) in {0, 2, 3, 4, 5}

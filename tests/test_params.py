@@ -55,6 +55,11 @@ def test_rejects_non_finite(bad):
         CouplerParams(gamma=0.5, kappa=1.0, delta=bad, length=1.0)
 
 
+def test_rejects_bool():
+    with pytest.raises(InvalidParameterError):
+        CouplerParams(True, 0, 0, 1)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-10])
 def test_rejects_non_positive_tolerances(tol):
     with pytest.raises(InvalidParameterError):
