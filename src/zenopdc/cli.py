@@ -90,6 +90,8 @@ def _read_config(spec: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the parser's recursion limit
+        raise InvalidParameterError(f"config is nested too deeply: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameterError("config must be a JSON object")
     return data
@@ -195,11 +197,12 @@ def _sweep_csv_text(grid: SweepGrid) -> str:
 # ------------------------------------------------------------------ commands
 #
 # Each command receives the parsed flags, the config (its keys already
-# checked) and the resolved format, and returns (artifact text, exit code);
-# ``main`` writes the artifact.
+# checked) and the resolved format, and returns (artifact text, exit code,
+# stderr note or None); ``main`` writes the artifact and only then the note,
+# so that a failed write leaves "error:" as the first line on stderr.
 
 
-def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int]:
+def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
     if engine not in ("exact", "ode", "closed-form"):
@@ -227,10 +230,10 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int]:
         "symplectic_residual": residual,
         "branch": branch,
     }
-    return _json_text(report), EXIT_OK
+    return _json_text(report), EXIT_OK, None
 
 
-def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int]:
+def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     params = _merge_params(args, config)
     report = classify_regime(params)
     doc = {
@@ -251,11 +254,8 @@ def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int]:
         window = f"; hyperbolic window kappa in ({k2:.6g}, {k1:.6g})"
     else:
         window = ""
-    print(
-        f"regime: {report.regime} (discriminant {report.discriminant:.6g}){window}",
-        file=sys.stderr,
-    )
-    return _json_text(doc), EXIT_OK
+    note = f"regime: {report.regime} (discriminant {report.discriminant:.6g}){window}"
+    return _json_text(doc), EXIT_OK, note
 
 
 def _sweep_spec_from(args, config: dict) -> SweepSpec:
@@ -280,17 +280,16 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
     return SweepSpec(fixed=fixed, axis1=axes[0], axis2=axes[1], engine=engine)
 
 
-def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int]:
+def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     spec = _sweep_spec_from(args, config)
     grid = sweep_2d(spec, threads=_resolve(args, config, "threads", 1))
     text = _sweep_csv_text(grid) if fmt == "csv" else _sweep_json_text(grid)
     if grid.failures:
-        print(f"{grid.failures} grid cells failed (tagged NaN)", file=sys.stderr)
-        return text, EXIT_CELL_FAILURES
-    return text, EXIT_OK
+        return text, EXIT_CELL_FAILURES, f"{grid.failures} grid cells failed (tagged NaN)"
+    return text, EXIT_OK, None
 
 
-def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int]:
+def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     seed = _resolve(args, config, "seed", None)
     if seed is None:
         params = _merge_params(args, config)
@@ -327,7 +326,7 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int]:
         "passed": passed,
         "qpm": qpm_doc,
     }
-    return _json_text(report), EXIT_OK if passed else EXIT_DRESSED_MISMATCH
+    return _json_text(report), EXIT_OK if passed else EXIT_DRESSED_MISMATCH, None
 
 
 def _parse_deltas(spec: str) -> list[float]:
@@ -347,7 +346,7 @@ def _parse_deltas(spec: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int]:
+def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     gamma = _resolve(args, config, "gamma", 0.5)
     length = _resolve(args, config, "length", 1.5)
     if args.delta is not None:
@@ -368,7 +367,7 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int]:
         lines = ["delta,kappa_opt,n_s_max"]
         for p in points:
             lines.append(f"{p.delta!r},{p.kappa_opt!r},{p.n_s_max!r}")
-        return "\n".join(lines) + "\n", EXIT_OK
+        return "\n".join(lines) + "\n", EXIT_OK, None
     doc = {
         "command": "ridge",
         "gamma": gamma,
@@ -379,7 +378,7 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int]:
         ],
         "fit": fit,
     }
-    return _json_text(doc), EXIT_OK
+    return _json_text(doc), EXIT_OK, None
 
 
 # -------------------------------------------------------------------- parser
@@ -443,8 +442,10 @@ def main(argv=None) -> int:
             raise InvalidParameterError(
                 f"{args.command} supports only --format {' or '.join(args.formats)}, got {fmt!r}"
             )
-        text, code = args.func(args, config, fmt)
+        text, code, note = args.func(args, config, fmt)
         _emit(text, out)
+        if note:
+            print(note, file=sys.stderr)
         return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,11 +14,14 @@ constant real generator
          [ -Γ,  -Δ/2,  -κ  ],
          [  0,   -κ,  -Δ/2 ]].
 
-``propagate_exact`` exponentiates M with :func:`expm_i`, the package's one
-matrix-exponential kernel, and reattaches the frame phases e^{∓iΔL/2}, so the
-returned map refers to the original (unrotated) operators.
-``propagate_ode`` integrates the time-dependent system directly, with no
-rotating frame, and serves as an independent numerical oracle.
+``propagate_batch`` takes arrays of (Γ, κ, Δ, L), stacks one generator per
+cell, exponentiates the whole stack with one call of :func:`expm_i`, the
+package's one matrix-exponential kernel, and reattaches the frame phases
+e^{∓iΔL/2}, so the returned blocks refer to the original (unrotated)
+operators.  ``propagate_exact`` is its single-cell case and wraps the result
+in a :class:`BogoliubovMap`.  ``propagate_ode`` integrates the time-dependent
+system directly, with no rotating frame, and serves as an independent
+numerical oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .params import (
 
 #: Mode order used by every map in this package: signal, idler, probe.
 MODES = ("s", "i", "b")
+
+#: Frame-phase exponents per row of (a_s†, a_i, b), in units of ΔL/2.
+_FRAME_SIGNS = np.array([-1j, 1j, 1j])
 
 
 @dataclass(frozen=True)
@@ -74,67 +80,122 @@ def build_generator(params: CouplerParams) -> NDArray[np.float64]:
     vector evolves as dv/dt = i M v.  Parameter validation happens when the
     ``CouplerParams`` instance is constructed.
     """
-    g, k, half_d = params.gamma, params.kappa, 0.5 * params.delta
-    return np.array(
-        [
-            [half_d, g, 0.0],
-            [-g, -half_d, -k],
-            [0.0, -k, -half_d],
-        ]
-    )
+    return _generators(params.gamma, params.kappa, params.delta)
 
 
-def expm_i(m: NDArray[np.float64], t: float) -> NDArray[np.complex128]:
-    """exp(i m t) for a real 3x3 generator, by scaling-and-squaring Padé.
+def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
+    """Generators M stacked over the broadcast shape of the three rates."""
+    g, k, half_d = np.asarray(gamma), np.asarray(kappa), 0.5 * np.asarray(delta)
+    m = np.zeros(np.broadcast_shapes(g.shape, k.shape, half_d.shape) + (3, 3))
+    m[..., 0, 0] = half_d
+    m[..., 0, 1] = g
+    m[..., 1, 0] = -g
+    m[..., 1, 1] = -half_d
+    m[..., 1, 2] = -k
+    m[..., 2, 1] = -k
+    m[..., 2, 2] = -half_d
+    return m
 
-    Unlike an eigendecomposition it needs no switch near the defective set,
-    where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
-    |Δ| = 2Γ at κ = 0).  Entries that overflow float64 raise NumericError.
+
+def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
+    """exp(i m t) for a real 3x3 generator or a stack (..., 3, 3) of them.
+
+    ``t`` broadcasts over the stack.  The whole stack is one scaling-and-
+    squaring Padé call, which treats every matrix exactly as a call on that
+    matrix alone would.  Unlike an eigendecomposition it needs no switch near
+    the defective set, where two roots of the characteristic cubic coalesce
+    (κ = Γ at Δ = 0, |Δ| = 2Γ at κ = 0).  Entries that overflow float64 come
+    back non-finite; callers check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sla.expm(1j * t * m)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(
-            f"matrix exponential produced non-finite entries for t={t!r}"
-        )
-    return out
+        return sla.expm(1j * np.asarray(t)[..., None, None] * m)
 
 
-def _frame_phases(params: CouplerParams) -> NDArray[np.complex128]:
-    """Diagonal of the frame restoration: e^{-iΔL/2} on row s†, e^{+iΔL/2} on i, b."""
-    half = 0.5 * params.delta * params.length
-    return np.array([np.exp(-1j * half), np.exp(1j * half), np.exp(1j * half)])
+def _transfer(gamma, kappa, delta, length) -> NDArray[np.complex128]:
+    """Original-frame transfer matrices on (a_s†, a_i, b), stacked over the inputs.
+
+    The rotated propagator exp(i M L) is computed first; the frame phases
+    e^{-iΔL/2} (row s†) and e^{+iΔL/2} (rows i, b) are then reattached.
+    """
+    phases = np.exp(np.multiply.outer(0.5 * np.asarray(delta) * length, _FRAME_SIGNS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return phases[..., :, None] * expm_i(_generators(gamma, kappa, delta), length)
+
+
+def split_transfer(
+    w: NDArray[np.complex128],
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+    """Split transfer matrices on (a_s†, a_i, b) into annihilation-basis (U, V) blocks.
+
+    Works on one 3x3 matrix or a stack.  Row 0 of ``w`` propagates a creation
+    operator, so its conjugate supplies the signal row of U (diagonal part)
+    and V (cross terms); rows 1-2 propagate annihilation operators directly.
+    """
+    u = np.zeros_like(w)
+    v = np.zeros_like(w)
+    u[..., 0, 0] = np.conj(w[..., 0, 0])
+    u[..., 1:, 1:] = w[..., 1:, 1:]
+    v[..., 0, 1:] = np.conj(w[..., 0, 1:])
+    v[..., 1:, 0] = w[..., 1:, 0]
+    return u, v
 
 
 def map_from_transfer(
     w: NDArray[np.complex128], params: CouplerParams, modes: tuple[str, ...] = MODES
 ) -> BogoliubovMap:
-    """Split the transfer matrix on (a_s†, a_i, b) into annihilation-basis blocks.
-
-    Row 0 of ``w`` propagates a creation operator, so its conjugate supplies
-    the signal row of U (diagonal part) and V (cross terms); rows 1-2
-    propagate annihilation operators directly.
-    """
-    u = np.zeros((3, 3), dtype=np.complex128)
-    v = np.zeros((3, 3), dtype=np.complex128)
-    u[0, 0] = np.conj(w[0, 0])
-    u[1:, 1:] = w[1:, 1:]
-    v[0, 1:] = np.conj(w[0, 1:])
-    v[1:, 0] = w[1:, 0]
+    """Wrap one 3x3 transfer matrix as a write-protected :class:`BogoliubovMap`."""
+    u, v = split_transfer(w)
     u.setflags(write=False)
     v.setflags(write=False)
     return BogoliubovMap(u_block=u, v_block=v, params=params, modes=modes)
 
 
+def _real_array(name: str, values) -> NDArray[np.float64]:
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # bools, complex, strings, objects
+        raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64)
+
+
+def propagate_batch(gamma, kappa, delta, length):
+    """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
+
+    Returns ``(u, v, ok)``: the stacked Bogoliubov blocks, shape
+    ``broadcast + (3, 3)``, and a boolean mask of that broadcast shape.  A cell
+    is valid when, as :class:`CouplerParams` requires, its four values are
+    finite and Γ, κ, L >= 0.  An invalid cell, or one whose exponential or
+    vacuum occupations are not finite, gets ``ok = False`` and NaN blocks;
+    nothing is raised for it.  Every valid cell is bit-identical to
+    :func:`propagate_exact` on the same values.
+    """
+    g, k, d, t = np.broadcast_arrays(*(
+        _real_array(name, x)
+        for name, x in (("gamma", gamma), ("kappa", kappa), ("delta", delta), ("length", length))
+    ))
+    ok = np.isfinite(g) & np.isfinite(k) & np.isfinite(d) & np.isfinite(t)
+    ok &= (g >= 0.0) & (k >= 0.0) & (t >= 0.0)
+    # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
+    g, k, d, t = (np.where(ok, x, 0.0) for x in (g, k, d, t))
+    w = _transfer(g, k, d, t)
+    u, v = split_transfer(w)
+    ok &= np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(occupation_numbers(v)).all(axis=-1)
+    u[~ok] = np.nan
+    v[~ok] = np.nan
+    return u, v, ok
+
+
 def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     """Propagate through length L by exponentiating the rotating-frame generator.
 
-    Returns the Bogoliubov map for the original-frame operators: the rotated
-    propagator exp(i M L) is computed first and the frame phases e^{∓iΔL/2}
-    are then reattached row-wise.
+    The single-cell case of :func:`propagate_batch`, through the same
+    kernel.  Returns the Bogoliubov map for the original-frame operators; a
+    non-finite exponential raises NumericError.
     """
-    m = build_generator(params)
-    w = _frame_phases(params)[:, None] * expm_i(m, params.length)
+    w = _transfer(params.gamma, params.kappa, params.delta, params.length)
+    if not np.all(np.isfinite(w)):
+        raise NumericError(
+            f"matrix exponential produced non-finite entries for t={params.length!r}"
+        )
     return map_from_transfer(w, params)
 
 
@@ -184,6 +245,12 @@ def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> Bogol
     return map_from_transfer(w, params)
 
 
+def occupation_numbers(v: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """n_α = Σ_β |V_αβ|² per row of one V block or a stack; overflow gives inf."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.abs(v) ** 2, axis=-1)
+
+
 def vacuum_occupations(bmap: BogoliubovMap) -> ModeOccupations:
     """Photon numbers for vacuum input: n_α = Σ_β |V_{αβ}|².
 
@@ -191,8 +258,7 @@ def vacuum_occupations(bmap: BogoliubovMap) -> ModeOccupations:
     far beyond the supported range); that is reported as NumericError rather
     than returned as inf.
     """
-    with np.errstate(over="ignore"):
-        n = np.sum(np.abs(bmap.v_block) ** 2, axis=1)
+    n = occupation_numbers(bmap.v_block)
     if not np.all(np.isfinite(n)):
         raise NumericError(
             "vacuum occupations overflow float64; gain*length is beyond the "

@@ -118,12 +118,15 @@ def regime_boundaries(gamma: float, delta: float) -> tuple[float, float]:
 
     Between them the evolution is hyperbolic; outside, oscillatory.  Raises
     DomainError when the inner radicand of κ2 is negative (boundaries merge
-    and vanish; happens once Γ grows beyond ~Δ/√2-scale gain).
+    and vanish; happens once Γ grows beyond ~Δ/√2-scale gain), and when
+    ΓΔ = 0, where the pair coincides and encloses no window.
     """
     gamma = _require("gamma", gamma)
     delta = _require("delta", delta, nonnegative=False)
     base = delta * delta + 1.5 * gamma * gamma
     split = math.sqrt(8.0) * abs(delta) * gamma
+    if split == 0.0:
+        raise DomainError("no hyperbolic window at gamma*delta = 0: the boundary pair coincides")
     inner = base - split
     if inner < 0.0:
         raise DomainError(

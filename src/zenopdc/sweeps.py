@@ -1,9 +1,13 @@
 """Deterministic 2-D parameter sweeps and the anti-Zeno ridge tracker.
 
-Grids are evaluated serially in row-major order with per-cell engine
-provenance, so repeated runs produce byte-identical artifacts.
-Cell-level numerical failures are recorded as NaN with a "failed" tag rather
-than aborting the sweep.
+Grids are evaluated one axis-1 row at a time: the row's numeric cells are
+one stacked propagation (:func:`dynamics.propagate_batch`), so each row costs
+one matrix-exponential call and memory stays flat in the number of rows.
+Every cell carries its engine provenance, and a stacked cell is bit-identical
+to its single-cell propagation, so repeated runs produce byte-identical
+artifacts.  Cell-level numerical failures are recorded as NaN with a
+"failed" tag rather than aborting the sweep.  The ridge's κ scan and the
+peak-over-length envelope are likewise one stacked propagation each.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_occupations
-from .dynamics import propagate_exact, vacuum_occupations
+from .dynamics import occupation_numbers, propagate_batch, propagate_exact, vacuum_occupations
 from .params import (
     CouplerError,
     CouplerParams,
-    DomainError,
     FlatLandscapeWarning,
     InvalidParameterError,
+    NumericError,
     require_finite as _require,
 )
 
@@ -106,23 +110,29 @@ class RidgePoint:
     n_s_max: float
 
 
-def _evaluate_cell(params: CouplerParams, engine: str) -> tuple[float, str]:
-    """Signal occupation of one grid cell plus the engine tag that produced it."""
-    if engine == ENGINE_CLOSED_WHEN_APPLICABLE:
-        try:
-            return closed_form_occupations(params)[0], TAG_CLOSED
-        except DomainError:
-            pass
-    return vacuum_occupations(propagate_exact(params)).n_s, TAG_NUMERIC
+def _signal(gamma, kappa, delta, length) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
+    """Signal occupations of one stacked propagation, and its per-cell ok mask."""
+    _, v, ok = propagate_batch(gamma, kappa, delta, length)
+    return occupation_numbers(v)[..., 0], ok
+
+
+def _require_ok(ok: NDArray[np.bool_], what: str) -> None:
+    if not ok.all():
+        raise NumericError(
+            f"{what}: {np.count_nonzero(~ok)} of {ok.size} propagations are not finite; "
+            "gain*length is beyond the representable range"
+        )
 
 
 def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
-    """Evaluate the grid cell by cell in row-major order.
+    """Evaluate the grid row by row, one stacked propagation per axis-1 row.
 
-    ``threads`` is validated and otherwise ignored: each cell is a handful of
-    3×3 numpy calls that hold the GIL, so worker threads would only slow the
-    sweep down.  A cell that raises a package error (or overflows) is recorded as
-    NaN with provenance "failed" and counted in ``failures``.
+    With ``closed_form_when_applicable`` the cells at Δ = 0 or κ = 0 take
+    their closed form and the tag "closed_form"; every other cell is numeric.
+    ``threads`` is validated and otherwise ignored: the work is a few stacked
+    numpy calls per row, and worker threads would only slow it down.  A cell
+    that is invalid, raises a package error or overflows is recorded as NaN
+    with provenance "failed" and counted in ``failures``.
     """
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
@@ -131,12 +141,24 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     provenance = np.full(shape, TAG_FAILED, dtype="<U16")
     a2 = spec.axis2.grid()
     for i, x in enumerate(spec.axis1.grid()):
-        for j, y in enumerate(a2):
-            try:
-                cell = replace(spec.fixed, **{spec.axis1.name: x, spec.axis2.name: y})
-                values[i, j], provenance[i, j] = _evaluate_cell(cell, spec.engine)
-            except (CouplerError, OverflowError, FloatingPointError):
-                pass  # the cell stays NaN / "failed"
+        row = {name: getattr(spec.fixed, name) for name in PARAM_AXES}
+        row[spec.axis1.name] = x
+        row[spec.axis2.name] = a2
+        gamma, kappa, delta, length = np.broadcast_arrays(*(row[name] for name in PARAM_AXES))
+        numeric = np.ones(a2.shape, dtype=bool)
+        if spec.engine == ENGINE_CLOSED_WHEN_APPLICABLE:
+            numeric = (delta != 0.0) & (kappa != 0.0)
+            for j in np.flatnonzero(~numeric):
+                try:
+                    cell = replace(spec.fixed, **{spec.axis1.name: x, spec.axis2.name: a2[j]})
+                    values[i, j] = closed_form_occupations(cell)[0]
+                    provenance[i, j] = TAG_CLOSED
+                except (CouplerError, OverflowError, FloatingPointError):
+                    pass  # the cell stays NaN / "failed"
+        n_s, ok = _signal(gamma[numeric], kappa[numeric], delta[numeric], length[numeric])
+        cells = np.flatnonzero(numeric)[ok]
+        values[i, cells] = n_s[ok]
+        provenance[i, cells] = TAG_NUMERIC
     failures = int(np.count_nonzero(provenance == TAG_FAILED))
     return SweepGrid(spec=spec, values=values, provenance=provenance, failures=failures)
 
@@ -168,8 +190,9 @@ def find_anti_zeno_ridge(
 ) -> list[RidgePoint]:
     """Locate the coupling κ_opt that maximizes n_s at each mismatch Δ.
 
-    For each Δ the signal occupation is scanned on κ ∈ [0, 2Δ] and the best
-    bracket is refined by golden section to a κ tolerance of ``tol``.  On the
+    For each Δ the signal occupation is scanned on κ ∈ [0, 2Δ] (one stacked
+    propagation) and the best bracket is refined by golden section, one
+    propagation per step, to a κ tolerance of ``tol``.  On the
     compensation ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).
     Emits FlatLandscapeWarning when the scan sees no structure to refine.
     """
@@ -184,10 +207,12 @@ def find_anti_zeno_ridge(
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
 
         def n_s(kappa: float, _delta: float = delta) -> float:
-            return _evaluate_cell(CouplerParams(gamma, kappa, _delta, length), ENGINE_NUMERIC)[0]
+            params = CouplerParams(gamma, kappa, _delta, length)
+            return vacuum_occupations(propagate_exact(params)).n_s
 
         kappas = np.linspace(0.0, 2.0 * delta, scan_points)
-        scan = np.array([n_s(k) for k in kappas])
+        scan, ok = _signal(gamma, kappas, delta, length)
+        _require_ok(ok, f"ridge scan at delta={delta}")
         lo, hi = float(scan.min()), float(scan.max())
         # Variation below one part in 1e6 is indistinguishable from the
         # rounding noise of near-identity maps (noise floor ~1e-7 relative),
@@ -228,8 +253,16 @@ def ridge_linearity(points: list[RidgePoint]) -> tuple[float, float, float]:
 def max_signal_over_length(
     gamma: float, kappa: float, delta: float, length_max: float, samples: int = 601
 ) -> float:
-    """Peak signal occupation over L ∈ [0, length_max] on a uniform grid."""
-    grid = np.linspace(0.0, length_max, samples)
-    return max(
-        _evaluate_cell(CouplerParams(gamma, kappa, delta, L), ENGINE_NUMERIC)[0] for L in grid
+    """Peak signal occupation over L ∈ [0, length_max] on a uniform grid.
+
+    The whole grid is one stacked propagation; a length at which it is not
+    finite raises NumericError.
+    """
+    n_s, ok = _signal(
+        _require("gamma", gamma),
+        _require("kappa", kappa),
+        _require("delta", delta, nonnegative=False),
+        np.linspace(0.0, _require("length_max", length_max), samples),
     )
+    _require_ok(ok, "max_signal_over_length")
+    return float(n_s.max())

@@ -255,11 +255,14 @@ def test_ridge_bad_range_exits_2():
         ("dressed-check", {"seed": True}),
         ("simulate", {"gamma": True}),
         ("ridge", {"gamma": 0.5, "length": 1.5, "deltas": [1, 2, True]}),
+        # raw JSON text, nested past the parser's recursion limit
+        pytest.param("simulate", '{"gamma": ' + "[" * 200000 + "]" * 200000 + "}",
+                     id="simulate-deep-nesting"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, command, config):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     proc = run(command, "--config", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -297,6 +300,31 @@ def test_out_into_missing_directory_exits_2_before_work(tmp_path, monkeypatch, c
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_error_is_the_first_stderr_line_when_the_write_fails(tmp_path, capsys):
+    from zenopdc import cli
+
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps({
+        "fixed": {"length": 2.5},
+        "axis1": {"name": "gamma", "start": 200.0, "stop": 500.0, "count": 2},
+        "axis2": {"name": "length", "start": 2.5, "stop": 3.0, "count": 2},
+    }))
+    # classify always has a regime note, this sweep a failed-cell note
+    for argv in (["classify", "--kappa", "4", "--delta", "5"], ["sweep", "--config", str(failing)]):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("error: cannot write")
+
+
+def test_classify_at_zero_mismatch_reports_no_window(capsys):
+    from zenopdc import cli
+
+    assert cli.main(["classify", "--gamma", "0.5", "--kappa", "1", "--delta", "0"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["boundary_kappas"] is None
+    assert captured.err.startswith("regime: ") and "window" not in captured.err
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

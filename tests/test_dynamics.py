@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenopdc import (
@@ -18,6 +18,7 @@ from zenopdc import (
     check_symplectic,
     compose,
     n_s_mismatched_uncoupled,
+    propagate_batch,
     propagate_exact,
     propagate_ode,
     vacuum_occupations,
@@ -190,3 +191,44 @@ def test_import_leaves_the_ode_integrator_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _columns(cells):
+    return [np.array([getattr(p, name) for p in cells]) for name in ("gamma", "kappa", "delta", "length")]
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(supported_params(), min_size=1, max_size=6))
+@example(
+    [
+        CouplerParams(0.5, 0.5, 0.0, 2.0),  # kappa = gamma at delta = 0
+        CouplerParams(0.5, 0.5 * (1.0 + 1e-9), 0.0, 2.0),
+        CouplerParams(0.5, 0.0, 1.0, 2.0),  # |delta| = 2 gamma at kappa = 0
+        CouplerParams(0.5, 0.0, -1.0 * (1.0 + 1e-7), 2.0),
+        CouplerParams(0.7, 3.0, -2.0, 0.0),  # L = 0
+        CouplerParams(0.0, 0.0, 0.0, 0.0),
+    ]
+)
+def test_batch_is_bitwise_the_single_cell_propagation(cells):
+    u, v, ok = propagate_batch(*_columns(cells))
+    assert ok.all()
+    for i, params in enumerate(cells):
+        bmap = propagate_exact(params)
+        assert np.array_equal(u[i], bmap.u_block)
+        assert np.array_equal(v[i], bmap.v_block)
+
+
+def test_batch_flags_invalid_and_overflowing_cells_without_raising():
+    gamma = [0.5, -1.0, math.nan, 0.5, 1000.0, 200.0]
+    kappa = [1.0, 1.0, 1.0, -0.1, 0.0, 0.0]
+    u, v, ok = propagate_batch(gamma, kappa, 0.0, [1.0, 1.0, 1.0, 1.0, 2.5, 2.5])
+    # invalid: gamma < 0, gamma NaN, kappa < 0; not finite: the exponential
+    # (gamma = 1000) and the occupations (gamma = 200)
+    assert ok.tolist() == [True, False, False, False, False, False]
+    assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
+    bmap = propagate_exact(CouplerParams(0.5, 1.0, 0.0, 1.0))
+    assert np.array_equal(u[0], bmap.u_block) and np.array_equal(v[0], bmap.v_block)
+    with pytest.raises(NumericError):
+        propagate_exact(CouplerParams(1000.0, 0.0, 0.0, 2.5))
+    with pytest.raises(InvalidParameterError):
+        propagate_batch([True], 0.0, 0.0, 1.0)

@@ -146,6 +146,11 @@ def test_report_carries_approximate_boundaries():
     # when the approximation has no real solution the field is None
     report = classify_regime(_params(1.0, 1.0, 1.0))
     assert report.boundary_kappas is None
+    # at gamma*delta = 0 the pair coincides (kappa1 = kappa2): no window either
+    for gamma, kappa, delta in ((0.5, 1.0, 0.0), (0.0, 4.0, 5.0)):
+        with pytest.raises(DomainError):
+            regime_boundaries(gamma, delta)
+        assert classify_regime(_params(gamma, kappa, delta)).boundary_kappas is None
 
 
 def test_boundary_exact_domain_errors():

@@ -1,6 +1,7 @@
 """Grid sweeps and ridge tracking: determinism, provenance, failures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 from zenopdc import (
     ENGINE_CLOSED_WHEN_APPLICABLE,
     ENGINE_NUMERIC,
+    CouplerError,
     CouplerParams,
     FlatLandscapeWarning,
     InvalidParameterError,
+    NumericError,
     RidgePoint,
     SweepAxis,
     SweepSpec,
@@ -19,6 +22,8 @@ from zenopdc import (
     ridge_linearity,
     sweep_2d,
 )
+from zenopdc.closed_forms import closed_form_occupations
+from zenopdc.dynamics import propagate_exact, vacuum_occupations
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
 
 
@@ -127,6 +132,52 @@ def test_failed_cells_are_nan_and_counted():
     assert grid.failures == 4
     assert np.isnan(grid.values).all()
     assert set(grid.provenance.ravel()) == {TAG_FAILED}
+
+
+def _cell_by_cell(spec):
+    """Reference: every cell on its own, through CouplerParams and propagate_exact."""
+    shape = (spec.axis1.count, spec.axis2.count)
+    values = np.full(shape, np.nan)
+    provenance = np.full(shape, TAG_FAILED, dtype="<U16")
+    for i, x in enumerate(spec.axis1.grid()):
+        for j, y in enumerate(spec.axis2.grid()):
+            try:
+                p = replace(spec.fixed, **{spec.axis1.name: x, spec.axis2.name: y})
+                if spec.engine == ENGINE_CLOSED_WHEN_APPLICABLE and (p.delta == 0.0 or p.kappa == 0.0):
+                    values[i, j], provenance[i, j] = closed_form_occupations(p)[0], TAG_CLOSED
+                else:
+                    values[i, j] = vacuum_occupations(propagate_exact(p)).n_s
+                    provenance[i, j] = TAG_NUMERIC
+            except (CouplerError, OverflowError):
+                pass
+    return values, provenance
+
+
+@pytest.mark.parametrize("engine", [ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE])
+def test_row_batches_match_the_cell_by_cell_sweep(engine):
+    # kappa < 0 rows are invalid, gamma >= 200 at L = 2.5 overflows, the rest is valid
+    spec = SweepSpec(
+        fixed=CouplerParams(0.5, 0.0, 1.0, 2.5),
+        axis1=_axis("kappa", -1.0, 3.0, 5),
+        axis2=_axis("gamma", 0.5, 400.5, 3),
+        engine=engine,
+    )
+    grid = sweep_2d(spec)
+    values, provenance = _cell_by_cell(spec)
+    assert np.array_equal(grid.values, values, equal_nan=True)
+    assert np.array_equal(grid.provenance, provenance)
+    assert grid.failures == int(np.count_nonzero(provenance == TAG_FAILED))
+    assert set(provenance[0]) == {TAG_FAILED}  # kappa = -1
+    assert set(provenance[1:, 1:].ravel()) == {TAG_FAILED}  # gamma = 200.5, 400.5
+    assert TAG_FAILED not in provenance[1:, 0]
+
+
+def test_max_signal_over_length_raises_on_overflow():
+    for gamma in (200.0, 1000.0):  # occupations overflow / the exponential overflows
+        with pytest.raises(NumericError):
+            max_signal_over_length(gamma, 0.0, 0.0, 2.5)
+    with pytest.raises(InvalidParameterError):
+        max_signal_over_length(0.5, -1.0, 0.0, 2.5)
 
 
 def test_sweep_rejects_bad_threads():
