@@ -11,7 +11,8 @@ Four regimes admit explicit laws for the vacuum-input signal occupation:
 Every formula is an entire function of the squared rate that controls it, so
 the oscillatory and growing branches are the same expression continued across
 zero; a short even series bridges the numerically degenerate window around
-the branch point.
+the branch point.  Where rate·length is too large for a float, the laws behind
+``closed_form_occupations`` raise NumericError instead of returning inf/nan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import CouplerParams, DomainError, require_finite as _require
+from .params import CouplerParams, DomainError, NumericError, require_finite as _require
 
 #: Branch tags reported by the closed-form laws.
 BRANCH_TRIG = "trigonometric"
@@ -38,6 +39,17 @@ class ClosedFormResult:
 
     n_s: float
     branch: str
+
+
+def _unrepresentable(law: str) -> NumericError:
+    return NumericError(f"{law}: rate*length is beyond the representable range")
+
+
+def _finite(law: str, value: float) -> float:
+    """``value`` if it is finite, else NumericError (an inf or nan of overflowed terms)."""
+    if not math.isfinite(value):
+        raise _unrepresentable(law)
+    return value
 
 
 def _sin_ratio(x: float, length: float) -> float:
@@ -102,18 +114,21 @@ def coupled_matched_occupations(
     gamma = _require("gamma", gamma)
     kappa = _require("kappa", kappa)
     length = _require("length", length)
-    x = (kappa - gamma) * (kappa + gamma)
-    if abs(x) <= BRANCH_WINDOW * gamma * gamma:
-        branch = BRANCH_THRESHOLD
-        s = _sin_ratio_series(x, length)
-        c = _versine_ratio_series(x, length)
-    else:
-        branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
-        s = _sin_ratio(x, length)
-        c = _versine_ratio(x, length)
-    n_i = (gamma * s) ** 2
-    n_b = (kappa * gamma * c) ** 2
-    return n_i + n_b, n_i, n_b, branch
+    try:
+        x = (kappa - gamma) * (kappa + gamma)
+        if abs(x) <= BRANCH_WINDOW * gamma * gamma:
+            branch = BRANCH_THRESHOLD
+            s = _sin_ratio_series(x, length)
+            c = _versine_ratio_series(x, length)
+        else:
+            branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
+            s = _sin_ratio(x, length)
+            c = _versine_ratio(x, length)
+        n_i = (gamma * s) ** 2
+        n_b = (kappa * gamma * c) ** 2
+    except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
+        raise _unrepresentable("matched probed law") from exc
+    return _finite("matched probed law", n_i + n_b), n_i, n_b, branch
 
 
 def n_s_coupled_matched(gamma: float, kappa: float, length: float) -> ClosedFormResult:
@@ -133,14 +148,18 @@ def n_s_mismatched_uncoupled(gamma: float, delta: float, length: float) -> Close
     delta = _require("delta", delta, nonnegative=False)
     length = _require("length", length)
     # x > 0 is the oscillatory side of sin(√x L)/√x, i.e. Δ²/4 > Γ².
-    x = 0.25 * delta * delta - gamma * gamma
-    if abs(x) <= BRANCH_WINDOW * gamma * gamma:
-        branch = BRANCH_THRESHOLD
-        s = _sin_ratio_series(x, length)
-    else:
-        branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
-        s = _sin_ratio(x, length)
-    return ClosedFormResult(n_s=(gamma * s) ** 2, branch=branch)
+    try:
+        x = 0.25 * delta * delta - gamma * gamma
+        if abs(x) <= BRANCH_WINDOW * gamma * gamma:
+            branch = BRANCH_THRESHOLD
+            s = _sin_ratio_series(x, length)
+        else:
+            branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
+            s = _sin_ratio(x, length)
+        n_s = (gamma * s) ** 2
+    except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
+        raise _unrepresentable("mismatched unprobed law") from exc
+    return ClosedFormResult(n_s=_finite("mismatched unprobed law", n_s), branch=branch)
 
 
 def closed_form_occupations(params: CouplerParams) -> tuple[float, float, float, str]:

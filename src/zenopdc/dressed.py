@@ -17,7 +17,6 @@ to the same occupations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,30 +35,6 @@ from .params import CouplerParams, DomainError, NumericError, require_finite as 
 DRESSED_MODES = ("s", "c", "d")
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class DressedParams:
-    """Effective parameters of the two dressed downconversion channels.
-
-    ``omega_shift`` holds the (+κ, -κ) dressed energy shifts of (c, d);
-    the shifted channels see mismatches Δ + κ and Δ - κ at gain Γ/√2 each.
-    """
-
-    gamma_eff: float
-    mismatch_c: float
-    mismatch_d: float
-    omega_shift: tuple[float, float]
-
-
-def to_dressed(params: CouplerParams) -> DressedParams:
-    """Map coupler parameters to the dressed-channel description."""
-    return DressedParams(
-        gamma_eff=params.gamma / _SQRT2,
-        mismatch_c=params.delta + params.kappa,
-        mismatch_d=params.delta - params.kappa,
-        omega_shift=(params.kappa, -params.kappa),
-    )
 
 
 def build_dressed_generator(gamma: float, kappa: float, delta: float) -> NDArray[np.float64]:

@@ -6,13 +6,14 @@ one matrix-exponential call and memory stays flat in the number of rows.
 Every cell carries its engine provenance, and a stacked cell is bit-identical
 to its single-cell propagation, so repeated runs produce byte-identical
 artifacts.  Cell-level numerical failures are recorded as NaN with a
-"failed" tag rather than aborting the sweep.  The ridge's κ scan and the
-peak-over-length envelope are likewise one stacked propagation each.
+"failed" tag rather than aborting the sweep.  The peak-over-length envelope
+is one stacked propagation too, and the ridge propagates only in stacks: per
+Δ one 257-point κ scan plus about 8–9 zoom batches of 9 points, each zoom
+level shrinking the bracket 4× until its half-width is <= 1e-6.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_occupations
-from .dynamics import occupation_numbers, propagate_batch, propagate_exact, vacuum_occupations
+from .dynamics import occupation_numbers, propagate_batch
 from .params import (
     CouplerError,
     CouplerParams,
@@ -40,6 +41,12 @@ ENGINES = (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE)
 TAG_NUMERIC = "numeric"
 TAG_CLOSED = "closed_form"
 TAG_FAILED = "failed"
+
+#: κ points of the ridge scan over [0, 2Δ], zoom offsets in units of the
+#: bracket half-width w (spacing w/4), and the w at which the zoom stops.
+_SCAN_POINTS = 257
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 9)
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,7 +160,7 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
                     cell = replace(spec.fixed, **{spec.axis1.name: x, spec.axis2.name: a2[j]})
                     values[i, j] = closed_form_occupations(cell)[0]
                     provenance[i, j] = TAG_CLOSED
-                except (CouplerError, OverflowError, FloatingPointError):
+                except CouplerError:
                     pass  # the cell stays NaN / "failed"
         n_s, ok = _signal(gamma[numeric], kappa[numeric], delta[numeric], length[numeric])
         cells = np.flatnonzero(numeric)[ok]
@@ -163,38 +170,18 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     return SweepGrid(spec=spec, values=values, provenance=provenance, failures=failures)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [a, b] to |x| tolerance."""
-    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def find_anti_zeno_ridge(
-    gamma: float,
-    length: float,
-    deltas,
-    scan_points: int = 257,
-    tol: float = 1e-6,
-) -> list[RidgePoint]:
+def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint]:
     """Locate the coupling κ_opt that maximizes n_s at each mismatch Δ.
 
     For each Δ the signal occupation is scanned on κ ∈ [0, 2Δ] (one stacked
-    propagation) and the best bracket is refined by golden section, one
-    propagation per step, to a κ tolerance of ``tol``.  On the
-    compensation ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).
-    Emits FlatLandscapeWarning when the scan sees no structure to refine.
+    propagation of 257 points) and the scan's argmax is refined by a zoom:
+    each level is one stacked propagation of 9 points on κ ± w, clamped to
+    κ >= 0, whose argmax becomes the new κ while w shrinks 4×, starting from
+    the scan spacing and stopping once w <= 1e-6.  That is one scan batch
+    plus about 8–9 zoom batches per Δ; κ stays among the points, so n_s_max
+    never decreases, and w shrinks however large κ is.  On the compensation
+    ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).  Emits
+    FlatLandscapeWarning when the scan sees no structure to refine.
     """
     gamma = _require("gamma", gamma)
     length = _require("length", length)
@@ -205,12 +192,7 @@ def find_anti_zeno_ridge(
         delta = _require("delta", delta, nonnegative=False)
         if delta <= 0.0:
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
-
-        def n_s(kappa: float, _delta: float = delta) -> float:
-            params = CouplerParams(gamma, kappa, _delta, length)
-            return vacuum_occupations(propagate_exact(params)).n_s
-
-        kappas = np.linspace(0.0, 2.0 * delta, scan_points)
+        kappas = np.linspace(0.0, 2.0 * delta, _SCAN_POINTS)
         scan, ok = _signal(gamma, kappas, delta, length)
         _require_ok(ok, f"ridge scan at delta={delta}")
         lo, hi = float(scan.min()), float(scan.max())
@@ -224,11 +206,16 @@ def find_anti_zeno_ridge(
                 stacklevel=2,
             )
         best = int(np.argmax(scan))
-        a = kappas[max(0, best - 1)]
-        b = kappas[min(scan_points - 1, best + 1)]
-        k_opt, n_max = _golden_max(n_s, float(a), float(b), tol)
-        if scan[best] > n_max:
-            k_opt, n_max = float(kappas[best]), float(scan[best])
+        k_opt, n_max = float(kappas[best]), float(scan[best])
+        w = float(kappas[1])  # the scan spacing
+        while w > _TOL:
+            # The middle offset is exactly 0, so k_opt itself is re-evaluated.
+            zoom_kappas = np.maximum(k_opt + w * _ZOOM_OFFSETS, 0.0)
+            zoom, ok = _signal(gamma, zoom_kappas, delta, length)
+            _require_ok(ok, f"ridge zoom at delta={delta}")
+            best = int(np.argmax(zoom))
+            k_opt, n_max = float(zoom_kappas[best]), float(zoom[best])
+            w /= 4.0
         points.append(RidgePoint(delta=delta, kappa_opt=k_opt, n_s_max=n_max))
     return points
 

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 CMD = [sys.executable, "-m", "zenopdc"]
 
 
-def run(*args, **kwargs):
+def run(*args, timeout=120, **kwargs):
     return subprocess.run(
-        [*CMD, *args], capture_output=True, text=True, timeout=120, **kwargs
+        [*CMD, *args], capture_output=True, text=True, timeout=timeout, **kwargs
     )
 
 
@@ -60,6 +60,13 @@ def test_invalid_parameter_exits_2():
     proc = run("simulate", "--gamma", "-1")
     assert proc.returncode == 2
     assert "gamma" in proc.stderr
+    # rate*length beyond float range: a math domain error, an overflow, a NaN
+    for flags in (["--kappa", "1e200", "--length", "1e200"],
+                  ["--gamma", "400", "--length", "2.5"],
+                  ["--gamma", "1e200", "--length", "1e200"]):
+        proc = run("simulate", "--engine", "closed-form", *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -234,6 +241,21 @@ def test_ridge_csv_single_delta():
     assert lines[0] == "delta,kappa_opt,n_s_max"
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 5.0
+
+
+def test_ridge_at_huge_mismatch_returns():
+    # the zoom's bracket shrinks below the spacing of floats near kappa = 1e10
+    proc = run("ridge", "--delta", "1e10", timeout=60)
+    assert proc.returncode == 0
+    (point,) = json.loads(proc.stdout)["points"]
+    assert abs(point["kappa_opt"] - 1e10) <= math.sqrt(2.0) * 0.5
+
+
+def test_ridge_repeat_runs_are_byte_identical():
+    for fmt in ("json", "csv"):
+        first, second = (run("ridge", "--delta", "3:10:8", "--format", fmt) for _ in range(2))
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
 
 
 def test_ridge_bad_range_exits_2():

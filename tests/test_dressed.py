@@ -1,4 +1,4 @@
-"""Dressed-channel route: parameter map, equivalence, symmetry, QPM."""
+"""Dressed-channel route: generator, equivalence, symmetry, QPM."""
 
 import math
 
@@ -15,37 +15,12 @@ from zenopdc import (
     propagate_exact,
     qpm_comparison,
     resonant_vs_qpm,
-    to_dressed,
     vacuum_occupations,
 )
 
 from conftest import supported_params
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def test_to_dressed_fields():
-    d = to_dressed(CouplerParams(0.5, 3.0, 5.0, 1.0))
-    assert d.gamma_eff == pytest.approx(0.5 / _SQRT2, abs=1e-16)
-    assert d.mismatch_c == pytest.approx(8.0)
-    assert d.mismatch_d == pytest.approx(2.0)
-    assert d.omega_shift == (3.0, -3.0)
-
-
-def test_resonance_cancels_one_channel_mismatch():
-    # kappa = delta puts channel d exactly on resonance
-    d = to_dressed(CouplerParams(0.5, 5.0, 5.0, 1.0))
-    assert d.mismatch_d == 0.0
-    assert d.mismatch_c == 10.0
-
-
-def test_uncoupled_channels_are_degenerate():
-    # kappa = 0: both channels carry the bare mismatch and their quadrature
-    # sum restores the undressed coupling strength.
-    d = to_dressed(CouplerParams(0.5, 0.0, 4.0, 1.0))
-    assert d.mismatch_c == d.mismatch_d == 4.0
-    assert d.omega_shift == (0.0, 0.0)
-    assert math.hypot(d.gamma_eff, d.gamma_eff) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_dressed_generator_matrix():

@@ -22,8 +22,8 @@ from zenopdc import (
     ridge_linearity,
     sweep_2d,
 )
-from zenopdc.closed_forms import closed_form_occupations
-from zenopdc.dynamics import propagate_exact, vacuum_occupations
+from zenopdc.closed_forms import closed_form_occupations, n_s_mismatched_uncoupled
+from zenopdc.dynamics import occupation_numbers, propagate_batch, propagate_exact, vacuum_occupations
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
 
 
@@ -148,7 +148,7 @@ def _cell_by_cell(spec):
                 else:
                     values[i, j] = vacuum_occupations(propagate_exact(p)).n_s
                     provenance[i, j] = TAG_NUMERIC
-            except (CouplerError, OverflowError):
+            except CouplerError:
                 pass
     return values, provenance
 
@@ -196,6 +196,22 @@ def test_ridge_tracks_mismatch():
     for p in points:
         assert abs(p.kappa_opt - p.delta) <= math.sqrt(2.0) * 0.5
         assert p.n_s_max > 0.25
+
+
+def test_ridge_zoom_clamps_at_zero_coupling():
+    # below the hyperbolic window the unprobed point kappa = 0 is the maximum
+    for p in find_anti_zeno_ridge(0.5, 1.5, [0.3, 1.0]):
+        assert p.kappa_opt == 0.0
+        assert p.n_s_max == pytest.approx(n_s_mismatched_uncoupled(0.5, p.delta, 1.5).n_s, rel=1e-12)
+
+
+def test_ridge_kappa_opt_is_the_maximizer_to_tolerance():
+    tol = 1e-6
+    for p in find_anti_zeno_ridge(0.5, 1.5, [3.0, 5.0, 8.0, 10.0]):
+        kappas = p.kappa_opt + tol * np.linspace(-4.0, 4.0, 33)
+        _, v, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
+        assert ok.all()
+        assert occupation_numbers(v)[:, 0].max() <= p.n_s_max * (1.0 + 1e-12)
 
 
 def test_ridge_input_validation():
