@@ -7,8 +7,8 @@ fig2/fig3), reject keys the command does not declare, resolve ``--out`` and
 artifact.  Reports are JSON on stdout unless ``--out`` redirects them to a
 file; sweep and ridge can also emit CSV, while simulate, classify and
 dressed-check take only JSON.  All artifacts are byte-deterministic.
-``sweep --threads`` is accepted and validated but changes neither the work
-nor the output: sweeps run serially.
+``sweep --threads`` is deprecated: it is accepted and validated but changes
+neither the work nor the output, because sweeps run serially.
 
 Exit codes: 0 success; 2 invalid parameters/config/range (including an
 unreadable config file and a JSON boolean where a number belongs) or an
@@ -418,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formats=("json", "csv"))
     p.add_argument("--engine", choices=ENGINES, help="per-cell engine policy")
     p.add_argument("--threads", type=int,
-                   help="accepted for compatibility; sweeps run serially, output is identical")
+                   help="deprecated: accepted for compatibility; sweeps run serially, "
+                        "output is identical")
 
     p = _add_command(sub, "dressed-check", cmd_dressed_check,
                      "cross-validate the dressed-frame route", keys={*_PARAM_NAMES, "seed"})

@@ -11,8 +11,8 @@ Four regimes admit explicit laws for the vacuum-input signal occupation:
 Every formula is an entire function of the squared rate that controls it, so
 the oscillatory and growing branches are the same expression continued across
 zero; a short even series bridges the numerically degenerate window around
-the branch point.  Where rate·length is too large for a float, the laws behind
-``closed_form_occupations`` raise NumericError instead of returning inf/nan.
+the branch point.  Where rate·length is too large for a float, every law
+raises NumericError instead of returning inf/nan.
 """
 
 from __future__ import annotations
@@ -94,7 +94,11 @@ def n_s_matched(gamma: float, length: float) -> float:
     """Matched unprobed growth: n_s = sinh²(ΓL)."""
     gamma = _require("gamma", gamma)
     length = _require("length", length)
-    return math.sinh(gamma * length) ** 2
+    try:
+        n_s = math.sinh(gamma * length) ** 2
+    except OverflowError as exc:
+        raise _unrepresentable("matched unprobed law") from exc
+    return _finite("matched unprobed law", n_s)
 
 
 def coupled_matched_occupations(
@@ -191,7 +195,7 @@ def n_s_strong_coupling_asymptote(gamma: float, kappa: float, length: float) -> 
     length = _require("length", length)
     if kappa == 0.0:
         raise DomainError("strong-coupling envelope is undefined at kappa = 0")
-    return (2.0 * gamma / kappa * math.sin(0.5 * kappa * length)) ** 2
+    return _envelope("strong-coupling envelope", gamma, kappa, length)
 
 
 def n_s_large_mismatch_asymptote(gamma: float, delta: float, length: float) -> float:
@@ -201,4 +205,13 @@ def n_s_large_mismatch_asymptote(gamma: float, delta: float, length: float) -> f
     length = _require("length", length)
     if delta == 0.0:
         raise DomainError("large-mismatch envelope is undefined at delta = 0")
-    return (2.0 * gamma / delta * math.sin(0.5 * delta * length)) ** 2
+    return _envelope("large-mismatch envelope", gamma, delta, length)
+
+
+def _envelope(law: str, gamma: float, rate: float, length: float) -> float:
+    """(4Γ²/rate²) sin²(rate·L/2), or NumericError where rate·L or the prefactor overflows."""
+    try:
+        value = (2.0 * gamma / rate * math.sin(0.5 * rate * length)) ** 2
+    except (OverflowError, ValueError) as exc:  # math.sin(inf), float ** 2 overflow
+        raise _unrepresentable(law) from exc
+    return _finite(law, value)

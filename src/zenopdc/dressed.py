@@ -72,8 +72,8 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length) -> NDArr
     """
     n = build_dressed_generator(gamma, kappa, delta)
     phases = np.ones(np.shape(length) + (3,), dtype=np.complex128)
-    phases[..., 0] = np.exp(-1j * delta * np.asarray(length))
     with np.errstate(over="ignore", invalid="ignore"):
+        phases[..., 0] = np.exp(-1j * delta * np.asarray(length))
         w = phases[..., :, None] * expm_i(n, length)
     if not np.all(np.isfinite(w)):
         raise NumericError("matrix exponential produced non-finite entries in the dressed frame")

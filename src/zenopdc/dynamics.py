@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import linalg as sla
 
 from .params import (
     CouplerParams,
@@ -45,6 +44,18 @@ MODES = ("s", "i", "b")
 
 #: Frame-phase exponents per row of (a_s†, a_i, b), in units of ΔL/2.
 _FRAME_SIGNS = np.array([-1j, 1j, 1j])
+
+#: Padé [13/13] coefficients b_0 … b_13 of exp (Higham 2005, eq. 2.11).
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+#: The pairs (b_{2k+1}, b_{2k}) for k = 0 … 6, shaped to broadcast over the stacked
+#: pair (W, V) of Padé polynomials in A², so one expression evaluates both.
+_PADE_PAIRS = np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
+#: Largest 1-norm for which Padé [13/13] meets double precision unscaled (Higham 2005, Table 2.3).
+_THETA_13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -100,15 +111,42 @@ def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
 def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     """exp(i m t) for a real 3x3 generator or a stack (..., 3, 3) of them.
 
-    ``t`` broadcasts over the stack.  The whole stack is one scaling-and-
-    squaring Padé call, which treats every matrix exactly as a call on that
-    matrix alone would.  Unlike an eigendecomposition it needs no switch near
-    the defective set, where two roots of the characteristic cubic coalesce
-    (κ = Γ at Δ = 0, |Δ| = 2Γ at κ = 0).  Entries that overflow float64 come
-    back non-finite; callers check.
+    ``t`` broadcasts over the stack.  This is scaling and squaring with one
+    Padé [13/13] approximant (Higham 2005), vectorized over the stack: each
+    matrix A = i m t gets its own scaling 2^-s with s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉),
+    so a matrix comes out bitwise as it would from a call on it alone.
+    Unlike an eigendecomposition it needs no switch near the defective set,
+    where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
+    |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite comes back NaN
+    and one whose entries overflow float64 comes back non-finite; neither
+    raises or warns, and callers check.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return sla.expm(1j * np.asarray(t)[..., None, None] * m)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        b = np.asarray(t)[..., None, None] * m  # A = i b with b real
+        shape = b.shape
+        b = b.reshape(-1, 3, 3)
+        norm = np.abs(b).sum(axis=-2).max(axis=-1)
+        bad = ~np.isfinite(norm)
+        b[bad] = 0.0  # a zero generator keeps the solve clean; blanked below
+        norm[bad] = 0.0
+        s = np.ceil(np.log2(norm / _THETA_13)).clip(0).astype(np.intp)
+        b = np.ldexp(b, -s[:, None, None])
+        # A = i b is purely imaginary, so A², A⁴, A⁶ and the even part V are real,
+        # and the odd part is U = i b W with W real.  Then exp(A) ≈ (V - U)⁻¹(V + U).
+        a2 = -(b @ b)
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        c = _PADE_PAIRS
+        inner = c[6] * a6 + c[5] * a4 + c[4] * a2
+        w, v = a6 @ inner + c[3] * a6 + c[2] * a4 + c[1] * a2 + c[0] * np.eye(3)
+        u = 1j * (b @ w)
+        r = np.linalg.solve(v - u, v + u)
+        for j in range(s.max(initial=0)):
+            todo = np.flatnonzero(s > j)
+            r_j = r[todo]
+            r[todo] = r_j @ r_j
+    r[bad] = np.nan
+    return r.reshape(shape)
 
 
 def _transfer(gamma, kappa, delta, length) -> NDArray[np.complex128]:
@@ -117,8 +155,8 @@ def _transfer(gamma, kappa, delta, length) -> NDArray[np.complex128]:
     The rotated propagator exp(i M L) is computed first; the frame phases
     e^{-iΔL/2} (row s†) and e^{+iΔL/2} (rows i, b) are then reattached.
     """
-    phases = np.exp(np.multiply.outer(0.5 * np.asarray(delta) * length, _FRAME_SIGNS))
     with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(np.multiply.outer(0.5 * np.asarray(delta) * length, _FRAME_SIGNS))
         return phases[..., :, None] * expm_i(_generators(gamma, kappa, delta), length)
 
 
@@ -305,3 +343,14 @@ def compose(second: BogoliubovMap, first: BogoliubovMap) -> BogoliubovMap:
     v.setflags(write=False)
     total = replace(p1, length=p1.length + p2.length)
     return BogoliubovMap(u_block=u, v_block=v, params=total, modes=first.modes)
+
+
+def __getattr__(name: str):
+    # Exists only for the frozen benchmark tracer (perfbench/tracer.py), which
+    # wraps ``dynamics.sla.expm``; delete it with the benchmark refresh that
+    # hooks the tracer on ``expm_i`` (ROADMAP, "Refresh the benchmark").
+    if name == "sla":
+        from scipy import linalg
+
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

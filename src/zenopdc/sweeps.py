@@ -136,10 +136,10 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
 
     With ``closed_form_when_applicable`` the cells at Δ = 0 or κ = 0 take
     their closed form and the tag "closed_form"; every other cell is numeric.
-    ``threads`` is validated and otherwise ignored: the work is a few stacked
-    numpy calls per row, and worker threads would only slow it down.  A cell
-    that is invalid, raises a package error or overflows is recorded as NaN
-    with provenance "failed" and counted in ``failures``.
+    ``threads`` is deprecated, validated and otherwise ignored: the work is a
+    few stacked numpy calls per row, and worker threads would only slow it
+    down.  A cell that is invalid, raises a package error or overflows is
+    recorded as NaN with provenance "failed" and counted in ``failures``.
     """
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")

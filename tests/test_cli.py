@@ -60,11 +60,13 @@ def test_invalid_parameter_exits_2():
     proc = run("simulate", "--gamma", "-1")
     assert proc.returncode == 2
     assert "gamma" in proc.stderr
-    # rate*length beyond float range: a math domain error, an overflow, a NaN
-    for flags in (["--kappa", "1e200", "--length", "1e200"],
-                  ["--gamma", "400", "--length", "2.5"],
-                  ["--gamma", "1e200", "--length", "1e200"]):
-        proc = run("simulate", "--engine", "closed-form", *flags)
+    # rate*length beyond float range: a math domain error, an overflow, a NaN,
+    # and overflowing frame phases of the exact engine
+    for flags in (["--engine", "closed-form", "--kappa", "1e200", "--length", "1e200"],
+                  ["--engine", "closed-form", "--gamma", "400", "--length", "2.5"],
+                  ["--engine", "closed-form", "--gamma", "1e200", "--length", "1e200"],
+                  ["--delta", "1e300", "--length", "1e300"]):
+        proc = run("simulate", *flags)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 

@@ -14,6 +14,7 @@ from zenopdc import (
     CouplerParams,
     DomainError,
     InvalidParameterError,
+    NumericError,
     coupled_matched_occupations,
     n_s_coupled_matched,
     n_s_large_mismatch_asymptote,
@@ -251,6 +252,21 @@ def test_asymptote_domain_errors():
         n_s_strong_coupling_asymptote(0.5, 0.0, 1.0)
     with pytest.raises(DomainError):
         n_s_large_mismatch_asymptote(0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "law, args",
+    [
+        (n_s_matched, (400.0, 2.5)),  # math.sinh overflows
+        (n_s_matched, (1e200, 1e200)),  # sinh(inf) = inf
+        (n_s_strong_coupling_asymptote, (0.5, 1e200, 1e200)),  # math.sin(inf)
+        (n_s_large_mismatch_asymptote, (0.5, 1e200, 1e200)),
+        (n_s_large_mismatch_asymptote, (1e300, 1e-300, 1.0)),  # prefactor overflows
+    ],
+)
+def test_laws_beyond_float_range_raise_numeric_error(law, args):
+    with pytest.raises(NumericError):
+        law(*args)
 
 
 def test_invalid_inputs():

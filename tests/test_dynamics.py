@@ -23,6 +23,7 @@ from zenopdc import (
     propagate_ode,
     vacuum_occupations,
 )
+from zenopdc.dynamics import expm_i
 
 from conftest import draw_supported, supported_params
 
@@ -191,6 +192,41 @@ def test_import_leaves_the_ode_integrator_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_and_exact_commands_leave_scipy_unloaded():
+    # The matrix exponential is numpy-only; scipy loads only with the ODE oracle.
+    code = (
+        "import contextlib, io, sys, zenopdc\n"
+        "from zenopdc import cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "for argv in (['simulate'], ['sweep', '--config', 'fig2'],\n"
+        "             ['ridge', '--delta', '3:10:8']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, False]"
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_slice_is_nan_and_leaves_the_rest_of_the_stack_alone():
+    m = np.stack([build_generator(CouplerParams(g, k, d, 1.0))
+                  for g, k, d in [(0.5, 1.0, 3.0), (0.5, 2.0, -1.0), (0.7, 0.0, 0.0),
+                                  (0.5, 3.0, 5.0), (1000.0, 0.0, 0.0), (0.2, 0.2, 0.0)]])
+    t = np.array([1.5, 1.5, np.inf, 2.0, 2.5, 1e-3])  # inf * 0 entries: NaN generator
+    m[1, 0, 1] = np.inf
+    m[3, 2, 2] = np.nan
+    w = expm_i(m, t)
+    for i in (1, 2, 3):
+        assert np.isnan(w[i]).all()
+    assert not np.isfinite(w[4]).all()  # exp(ΓL = 2500) overflows, in its own slice only
+    for i in range(len(m)):
+        assert np.array_equal(w[i], expm_i(m[i], t[i]), equal_nan=True)
+    assert np.isfinite(w[[0, 5]]).all()
 
 
 def _columns(cells):
