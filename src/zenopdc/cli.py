@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 from importlib import resources
 from pathlib import Path
 
@@ -30,14 +31,20 @@ import numpy as np
 
 from .closed_forms import closed_form_occupations
 from .dressed import propagate_dressed, qpm_comparison
-from .dynamics import check_symplectic, propagate_exact, propagate_ode, vacuum_occupations
-from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError
+from .dynamics import (
+    ModeOccupations,
+    check_symplectic,
+    propagate_exact,
+    propagate_ode,
+    vacuum_occupations,
+)
+from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError, require_finite
 from .regimes import classify_regime
 from .sweeps import (
     ENGINE_NUMERIC,
     ENGINES,
+    RidgePoint,
     SweepAxis,
-    SweepGrid,
     SweepSpec,
     find_anti_zeno_ridge,
     ridge_linearity,
@@ -121,20 +128,13 @@ def _resolve(args, config: dict, key: str, default):
 # ------------------------------------------------------------- serialization
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _plain(obj):
+    """``json.dumps`` default hook: complex as [re, im], numpy values as Python values."""
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _out_path(args, config: dict) -> str | None:
@@ -157,41 +157,17 @@ def _emit(text: str, out: str | None) -> None:
         raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
 
 
-def _json_text(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _params_echo(params: CouplerParams) -> dict:
     return {name: getattr(params, name) for name in _PARAM_NAMES}
 
 
-def _sweep_json_text(grid: SweepGrid) -> str:
-    spec = grid.spec
-    doc = {
-        "engine": spec.engine,
-        "fixed": _params_echo(spec.fixed),
-        "axis1": {"name": spec.axis1.name, "start": spec.axis1.start,
-                  "stop": spec.axis1.stop, "count": spec.axis1.count},
-        "axis2": {"name": spec.axis2.name, "start": spec.axis2.start,
-                  "stop": spec.axis2.stop, "count": spec.axis2.count},
-        "values": grid.values,
-        "provenance": grid.provenance,
-        "failures": grid.failures,
-    }
-    return _json_text(doc)
-
-
-def _sweep_csv_text(grid: SweepGrid) -> str:
-    a1 = grid.spec.axis1.grid()
-    a2 = grid.spec.axis2.grid()
-    lines = ["axis1,axis2,n_s,engine"]
-    for i in range(grid.spec.axis1.count):
-        for j in range(grid.spec.axis2.count):
-            lines.append(
-                f"{float(a1[i])!r},{float(a2[j])!r},"
-                f"{float(grid.values[i, j])!r},{grid.provenance[i, j]}"
-            )
-    return "\n".join(lines) + "\n"
+def _csv_text(header, rows) -> str:
+    """One comma-separated line per row; a float field prints as its repr."""
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
 
 
 # ------------------------------------------------------------------ commands
@@ -213,20 +189,18 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     branch = None
     residual = None
     if engine == "closed-form":
-        n_s, n_i, n_b, branch = closed_form_occupations(params)
+        *occupations, branch = closed_form_occupations(params)
+        occ = ModeOccupations(*occupations)
     else:
         bmap = propagate_exact(params) if engine == "exact" else propagate_ode(params)
         occ = vacuum_occupations(bmap)
-        n_s, n_i, n_b = occ.n_s, occ.n_i, occ.n_b
         residual = check_symplectic(bmap)
 
     report = {
         "command": "simulate",
         "engine": engine,
         "params": _params_echo(params),
-        "n_s": n_s,
-        "n_i": n_i,
-        "n_b": n_b,
+        **asdict(occ),
         "symplectic_residual": residual,
         "branch": branch,
     }
@@ -236,19 +210,7 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
 def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     params = _merge_params(args, config)
     report = classify_regime(params)
-    doc = {
-        "command": "classify",
-        "params": _params_echo(params),
-        "coefficients": {
-            "c2": report.coefficients.c2,
-            "c1": report.coefficients.c1,
-            "c0": report.coefficients.c0,
-        },
-        "discriminant": report.discriminant,
-        "regime": report.regime,
-        "roots": [[z.real, z.imag] for z in report.roots],
-        "boundary_kappas": list(report.boundary_kappas) if report.boundary_kappas else None,
-    }
+    doc = {"command": "classify", "params": _params_echo(params), **asdict(report)}
     if report.boundary_kappas:
         k1, k2 = report.boundary_kappas
         window = f"; hyperbolic window kappa in ({k2:.6g}, {k1:.6g})"
@@ -283,7 +245,22 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
 def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     spec = _sweep_spec_from(args, config)
     grid = sweep_2d(spec, threads=_resolve(args, config, "threads", 1))
-    text = _sweep_csv_text(grid) if fmt == "csv" else _sweep_json_text(grid)
+    if fmt == "csv":
+        axes = np.meshgrid(spec.axis1.grid(), spec.axis2.grid(), indexing="ij")
+        columns = (a.ravel().tolist() for a in (*axes, grid.values, grid.provenance))
+        text = _csv_text(("axis1", "axis2", "n_s", "engine"), zip(*columns))
+    else:
+        # The grids are converted before encoding: converted inside the encoder,
+        # their floats interleave with its chunks and fig3's peak RSS grows ≈0.4 MiB.
+        text = _json_text({
+            "engine": spec.engine,
+            "fixed": _params_echo(spec.fixed),
+            "axis1": asdict(spec.axis1),
+            "axis2": asdict(spec.axis2),
+            "values": grid.values.tolist(),
+            "provenance": grid.provenance.tolist(),
+            "failures": grid.failures,
+        })
     if grid.failures:
         return text, EXIT_CELL_FAILURES, f"{grid.failures} grid cells failed (tagged NaN)"
     return text, EXIT_OK, None
@@ -319,8 +296,8 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | Non
     report = {
         "command": "dressed-check",
         "params": _params_echo(params),
-        "direct": {"n_s": direct.n_s, "n_i": direct.n_i, "n_b": direct.n_b},
-        "dressed": {"n_s": dressed.n_s, "n_i": dressed.n_i, "n_b": dressed.n_b},
+        "direct": asdict(direct),
+        "dressed": asdict(dressed),
         "residual": residual,
         "tolerance": DRESSED_CHECK_TOL,
         "passed": passed,
@@ -343,6 +320,7 @@ def _parse_deltas(spec: str) -> list[float]:
     lo, hi, count = numbers
     if count < 1 or not lo < hi:
         raise InvalidParameterError(f"bad delta range {spec!r}: need min < max and count >= 1")
+    require_finite("delta range max - min", hi - lo)  # also rejects an infinite end
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
@@ -364,18 +342,13 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
         slope, intercept, max_residual = ridge_linearity(points)
         fit = {"slope": slope, "intercept": intercept, "max_residual": max_residual}
     if fmt == "csv":
-        lines = ["delta,kappa_opt,n_s_max"]
-        for p in points:
-            lines.append(f"{p.delta!r},{p.kappa_opt!r},{p.n_s_max!r}")
-        return "\n".join(lines) + "\n", EXIT_OK, None
+        header = [field.name for field in fields(RidgePoint)]
+        return _csv_text(header, map(astuple, points)), EXIT_OK, None
     doc = {
         "command": "ridge",
         "gamma": gamma,
         "length": length,
-        "points": [
-            {"delta": p.delta, "kappa_opt": p.kappa_opt, "n_s_max": p.n_s_max}
-            for p in points
-        ],
+        "points": [asdict(p) for p in points],
         "fit": fit,
     }
     return _json_text(doc), EXIT_OK, None

@@ -56,6 +56,9 @@ _PADE_13 = (
 _PADE_PAIRS = np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
 #: Largest 1-norm for which Padé [13/13] meets double precision unscaled (Higham 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
+#: Most squarings that leave a significant digit: each doubles the rounding error,
+#: and 2^s·u >= 1 for the unit roundoff u = 2^-53 once s exceeds the mantissa bits.
+_MAX_SQUARINGS = np.finfo(np.float64).nmant
 
 
 @dataclass(frozen=True)
@@ -117,19 +120,21 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     so a matrix comes out bitwise as it would from a call on it alone.
     Unlike an eigendecomposition it needs no switch near the defective set,
     where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
-    |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite comes back NaN
-    and one whose entries overflow float64 comes back non-finite; neither
-    raises or warns, and callers check.
+    |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite, or that needs
+    more than 52 squarings (‖A‖₁ > 2^52·θ₁₃ ≈ 2.4e16) and so keeps no
+    significant digit, comes back NaN; one whose entries overflow float64
+    comes back non-finite.  Neither raises or warns, and callers check.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         b = np.asarray(t)[..., None, None] * m  # A = i b with b real
         shape = b.shape
         b = b.reshape(-1, 3, 3)
         norm = np.abs(b).sum(axis=-2).max(axis=-1)
-        bad = ~np.isfinite(norm)
+        s = np.ceil(np.log2(norm / _THETA_13)).clip(0)
+        bad = ~(s <= _MAX_SQUARINGS)  # also a norm that is inf or NaN
         b[bad] = 0.0  # a zero generator keeps the solve clean; blanked below
-        norm[bad] = 0.0
-        s = np.ceil(np.log2(norm / _THETA_13)).clip(0).astype(np.intp)
+        s[bad] = 0.0
+        s = s.astype(np.intp)
         b = np.ldexp(b, -s[:, None, None])
         # A = i b is purely imaginary, so A², A⁴, A⁶ and the even part V are real,
         # and the odd part is U = i b W with W real.  Then exp(A) ≈ (V - U)⁻¹(V + U).

@@ -28,6 +28,7 @@ from .params import (
     BoundaryNotFoundError,
     CouplerParams,
     DomainError,
+    NumericError,
     require_finite as _require,
 )
 
@@ -67,13 +68,12 @@ def characteristic_cubic(params: CouplerParams) -> CubicCoefficients:
             "characteristic cubic requires kappa != 0; "
             "the unprobed case is classified by the sign of gamma^2 - delta^2/4"
         )
-    g2 = params.gamma * params.gamma
-    d = params.delta
-    return CubicCoefficients(
-        c2=2.0 * d,
-        c1=d * d - params.kappa * params.kappa + g2,
-        c0=d * g2,
-    )
+    return _cubic(params.gamma, params.kappa, params.delta)
+
+
+def _cubic(gamma: float, kappa: float, delta: float) -> CubicCoefficients:
+    g2 = gamma * gamma
+    return CubicCoefficients(c2=2.0 * delta, c1=delta * delta - kappa * kappa + g2, c0=delta * g2)
 
 
 def _depressed(coeffs: CubicCoefficients) -> tuple[float, float]:
@@ -119,7 +119,8 @@ def regime_boundaries(gamma: float, delta: float) -> tuple[float, float]:
     Between them the evolution is hyperbolic; outside, oscillatory.  Raises
     DomainError when the inner radicand of κ2 is negative (boundaries merge
     and vanish; happens once Γ grows beyond ~Δ/√2-scale gain), and when
-    ΓΔ = 0, where the pair coincides and encloses no window.
+    ΓΔ = 0, where the pair coincides and encloses no window.  Raises
+    NumericError when κ1² overflows float64.
     """
     gamma = _require("gamma", gamma)
     delta = _require("delta", delta, nonnegative=False)
@@ -127,6 +128,10 @@ def regime_boundaries(gamma: float, delta: float) -> tuple[float, float]:
     split = math.sqrt(8.0) * abs(delta) * gamma
     if split == 0.0:
         raise DomainError("no hyperbolic window at gamma*delta = 0: the boundary pair coincides")
+    if not math.isfinite(base + split):
+        raise NumericError(
+            f"weak-gain boundaries overflow float64 at gamma={gamma!r}, delta={delta!r}"
+        )
     inner = base - split
     if inner < 0.0:
         raise DomainError(
@@ -230,16 +235,26 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
 
     The tag is "oscillatory" for discriminant < -tol (frozen conversion),
     "hyperbolic" for discriminant > +tol (compensated growth), "boundary"
-    within the scale-aware tolerance, applied to the cubic in units of
+    within the scale-aware tolerance, applied to the cubic of (Γ, κ, Δ)/r with
     r = max(Γ, κ, |Δ|) so that the tag, like the physics, is invariant under
-    :meth:`CouplerParams.rescaled`; the reported values stay physical.
+    :meth:`CouplerParams.rescaled` however small the rates; the reported values
+    stay physical (a discriminant that underflows reads 0).
     ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
-    None when it does not.
+    None when it does not.  Raises NumericError when the coefficients, the
+    discriminant or the boundary pair overflow float64.
     """
     coeffs = characteristic_cubic(params)
-    disc = cubic_discriminant(coeffs)
+    try:
+        disc = cubic_discriminant(coeffs)
+    except OverflowError:  # float ** raises where * would give inf
+        disc = math.inf
+    if not all(map(math.isfinite, (coeffs.c2, coeffs.c1, coeffs.c0, disc))):
+        raise NumericError(
+            f"the frequency cubic overflows float64 at gamma={params.gamma!r}, "
+            f"kappa={params.kappa!r}, delta={params.delta!r}; classify a rescaled point"
+        )
     r = max(params.gamma, params.kappa, abs(params.delta))
-    unit = CubicCoefficients(coeffs.c2 / r, coeffs.c1 / r / r, coeffs.c0 / r / r / r)
+    unit = _cubic(params.gamma / r, params.kappa / r, params.delta / r)
     unit_disc = cubic_discriminant(unit)
     tol = discriminant_tolerance(unit)
     if unit_disc < -tol:

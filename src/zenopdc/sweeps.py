@@ -73,6 +73,7 @@ class SweepAxis:
             raise InvalidParameterError(
                 f"axis needs start < stop, got [{self.start}, {self.stop}]"
             )
+        _require("stop - start", self.stop - self.start)  # the grid's spacing must be finite
 
     def grid(self) -> NDArray[np.float64]:
         return np.linspace(self.start, self.stop, self.count)
@@ -192,7 +193,8 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
         delta = _require("delta", delta, nonnegative=False)
         if delta <= 0.0:
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
-        kappas = np.linspace(0.0, 2.0 * delta, _SCAN_POINTS)
+        with np.errstate(over="ignore", invalid="ignore"):  # 2Δ = inf fails as not ok below
+            kappas = np.linspace(0.0, 2.0 * delta, _SCAN_POINTS)
         scan, ok = _signal(gamma, kappas, delta, length)
         _require_ok(ok, f"ridge scan at delta={delta}")
         lo, hi = float(scan.min()), float(scan.max())

@@ -61,12 +61,16 @@ def test_invalid_parameter_exits_2():
     assert proc.returncode == 2
     assert "gamma" in proc.stderr
     # rate*length beyond float range: a math domain error, an overflow, a NaN,
-    # and overflowing frame phases of the exact engine
-    for flags in (["--engine", "closed-form", "--kappa", "1e200", "--length", "1e200"],
-                  ["--engine", "closed-form", "--gamma", "400", "--length", "2.5"],
-                  ["--engine", "closed-form", "--gamma", "1e200", "--length", "1e200"],
-                  ["--delta", "1e300", "--length", "1e300"]):
-        proc = run("simulate", *flags)
+    # and overflowing frame phases of the exact engine; rates whose frequency
+    # cubic overflows (an OverflowError, a NaN discriminant, an infinite window)
+    for argv in (["simulate", "--engine", "closed-form", "--kappa", "1e200", "--length", "1e200"],
+                 ["simulate", "--engine", "closed-form", "--gamma", "400", "--length", "2.5"],
+                 ["simulate", "--engine", "closed-form", "--gamma", "1e200", "--length", "1e200"],
+                 ["simulate", "--delta", "1e300", "--length", "1e300"],
+                 ["classify", "--gamma", "1e100", "--kappa", "1e100", "--delta", "1e100"],
+                 ["classify", "--gamma", "1", "--kappa", "1e160", "--delta", "1"],
+                 ["classify", "--gamma", "1e160", "--kappa", "1", "--delta", "1"]):
+        proc = run(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
@@ -261,9 +265,11 @@ def test_ridge_repeat_runs_are_byte_identical():
 
 
 def test_ridge_bad_range_exits_2():
-    assert run("ridge", "--delta", "5:3:4").returncode == 2
-    assert run("ridge", "--delta", "1:2").returncode == 2
-    assert run("ridge", "--delta", "3:abc:4").returncode == 2
+    # the last three overflow: an infinite end, an infinite span, a scan to 2*delta = inf
+    for spec in ("5:3:4", "1:2", "3:abc:4", "1:inf:3", "-1e308:1e308:3", "1e308:1.7e308:3"):
+        proc = run("ridge", f"--delta={spec}")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
     assert run("ridge").returncode == 2
 
 
@@ -282,6 +288,12 @@ def test_ridge_bad_range_exits_2():
         # raw JSON text, nested past the parser's recursion limit
         pytest.param("simulate", '{"gamma": ' + "[" * 200000 + "]" * 200000 + "}",
                      id="simulate-deep-nesting"),
+        # overflowing numbers, which numpy would otherwise warn about on stderr
+        pytest.param("sweep", {"axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2},
+                               "axis2": {"name": "delta", "start": -1e308, "stop": 1e308,
+                                         "count": 3}},
+                     id="sweep-infinite-axis-span"),
+        pytest.param("ridge", {"deltas": [1.7e308]}, id="ridge-infinite-scan"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, command, config):
@@ -290,7 +302,7 @@ def test_malformed_config_values_exit_2(tmp_path, command, config):
     proc = run(command, "--config", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_out_file_matches_stdout(tmp_path):
@@ -412,3 +424,55 @@ def test_cli_config_fuzz_exits_with_documented_codes(tmp_path, monkeypatch, case
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert cli.main([command, "--config", str(path)]) in {0, 2, 3, 4, 5}
+
+
+# Closed form in the kappa = 0 row, numeric elsewhere, and cells whose gain*length overflows.
+_MIXED_SWEEP = {
+    "fixed": {"delta": 0.5, "length": 2.5},
+    "engine": "closed_form_when_applicable",
+    "axis1": {"name": "kappa", "start": 0.0, "stop": 3.0, "count": 4},
+    "axis2": {"name": "gamma", "start": 0.0, "stop": 600.0, "count": 3},
+}
+
+
+def test_artifacts_are_canonical_json_and_csv_carries_the_json_values(tmp_path, capsys):
+    from zenopdc import SweepAxis, cli
+
+    def artifact(*argv):
+        assert cli.main(list(argv)) in {0, 4}
+        return capsys.readouterr().out
+
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_MIXED_SWEEP))
+    texts = {}
+    for argv in (("simulate", "--kappa", "1", "--delta", "0.3"),
+                 ("simulate", "--engine", "closed-form", "--kappa", "1"),
+                 ("classify", "--kappa", "5", "--delta", "5"),
+                 ("dressed-check", "--seed", "7"),
+                 ("sweep", "--config", str(config)),
+                 ("ridge", "--delta", "3:10:8")):
+        for fmt in ("json", "csv") if argv[0] in ("sweep", "ridge") else ("json",):
+            texts[argv[0], fmt] = text = artifact(*argv, "--format", fmt)
+            assert "np." not in text
+    for (command, fmt), text in texts.items():
+        if fmt == "json":
+            assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+    # repr round-trips a float exactly, so equal strings are equal bits (NaN included)
+    sweep = json.loads(texts["sweep", "json"])
+    assert {tag for row in sweep["provenance"] for tag in row} == {
+        "numeric", "closed_form", "failed"}
+    axis1, axis2 = (SweepAxis(**sweep[key]).grid().tolist() for key in ("axis1", "axis2"))
+    lines = texts["sweep", "csv"].splitlines()
+    assert lines[0] == "axis1,axis2,n_s,engine"
+    assert [line.split(",") for line in lines[1:]] == [
+        [repr(x), repr(y), repr(n_s), tag]
+        for x, n_s_row, tag_row in zip(axis1, sweep["values"], sweep["provenance"])
+        for y, n_s, tag in zip(axis2, n_s_row, tag_row)
+    ]
+    ridge = json.loads(texts["ridge", "json"])
+    lines = texts["ridge", "csv"].splitlines()
+    assert lines[0] == "delta,kappa_opt,n_s_max"
+    assert [line.split(",") for line in lines[1:]] == [
+        [repr(p["delta"]), repr(p["kappa_opt"]), repr(p["n_s_max"])] for p in ridge["points"]
+    ]

@@ -15,6 +15,7 @@ from zenopdc import (
     CouplerParams,
     CubicCoefficients,
     DomainError,
+    NumericError,
     boundary_exact,
     build_generator,
     characteristic_cubic,
@@ -324,10 +325,27 @@ def test_tiny_coefficient_cubic_keeps_accurate_roots():
         ((0.5, 5.0, 5.0, 1.0), REGIME_HYPERBOLIC),
         ((0.5, 2.0, 5.0, 1.0), REGIME_OSCILLATORY),
         ((1.0, 1.0, 5.96e-8, 1.0), REGIME_BOUNDARY),
+        ((1.0, 1.0, 1.0, 1.0), REGIME_HYPERBOLIC),
     ],
 )
 def test_regime_tag_is_scale_invariant(point, regime):
-    # (cΓ, cκ, cΔ, L/c) is the same physics, so it must get the same tag.
+    # (cΓ, cκ, cΔ, L/c) is the same physics, so it must get the same tag,
+    # also where the physical c0 = ΔΓ² or the discriminant underflows.
     params = CouplerParams(*point)
-    for c in (1.0, 1e-6, 1e-3, 1e3, 1e6):
+    for c in (1.0, 1e-6, 1e-3, 1e3, 1e6, 1e-110, 1e-150):
         assert classify_regime(params.rescaled(c)).regime == regime
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1e100, 1e100, 1e100), (1.0, 1e160, 1.0), (1e160, 1.0, 1.0), (1.0, 1.0, 1e102)],
+)
+def test_overflowing_cubic_raises_numeric_error(point):
+    # coefficients or discriminant beyond float64: an error, not inf/NaN or OverflowError
+    with pytest.raises(NumericError):
+        classify_regime(_params(*point))
+
+
+def test_overflowing_weak_gain_pair_raises_numeric_error():
+    with pytest.raises(NumericError):
+        regime_boundaries(1e160, 1.0)
