@@ -67,7 +67,6 @@ _PARAM_HELP = {
     "delta": "pump phase mismatch (1/length)",
     "length": "interaction length",
 }
-_TOLERANCES = ("tol_sym", "tol_phys")
 _BUNDLED_CONFIGS = {
     "fig2": "fig2.json",
     "fig2.json": "fig2.json",
@@ -111,11 +110,10 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
 
 
 def _merge_params(args, config: dict) -> CouplerParams:
-    """Resolve gamma/kappa/delta/length from flags > config > defaults; tolerances from config."""
-    values = {name: config[name] for name in _TOLERANCES if name in config}
-    for name in _PARAM_NAMES:
-        values[name] = _resolve(args, config, name, _PARAM_DEFAULTS[name])
-    return CouplerParams(**values)
+    """Resolve gamma/kappa/delta/length from flags > config > defaults."""
+    return CouplerParams(
+        **{name: _resolve(args, config, name, _PARAM_DEFAULTS[name]) for name in _PARAM_NAMES}
+    )
 
 
 def _resolve(args, config: dict, key: str, default):
@@ -161,10 +159,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
-def _params_echo(params: CouplerParams) -> dict:
-    return {name: getattr(params, name) for name in _PARAM_NAMES}
-
-
 def _csv_text(header, rows) -> str:
     """One comma-separated line per row; a float field prints as its repr."""
     return "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
@@ -199,7 +193,7 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     report = {
         "command": "simulate",
         "engine": engine,
-        "params": _params_echo(params),
+        "params": asdict(params),
         **asdict(occ),
         "symplectic_residual": residual,
         "branch": branch,
@@ -210,7 +204,7 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
 def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     params = _merge_params(args, config)
     report = classify_regime(params)
-    doc = {"command": "classify", "params": _params_echo(params), **asdict(report)}
+    doc = {"command": "classify", "params": asdict(params), **asdict(report)}
     if report.boundary_kappas:
         k1, k2 = report.boundary_kappas
         window = f"; hyperbolic window kappa in ({k2:.6g}, {k1:.6g})"
@@ -224,7 +218,7 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
     fixed_cfg = config.get("fixed", {})
     if not isinstance(fixed_cfg, dict):
         raise InvalidParameterError("sweep config 'fixed' must be an object")
-    _check_keys(fixed_cfg, {*_PARAM_NAMES, *_TOLERANCES}, "fixed")
+    _check_keys(fixed_cfg, set(_PARAM_NAMES), "fixed")
     fixed = _merge_params(args, fixed_cfg)
 
     axes = []
@@ -254,7 +248,7 @@ def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
         # their floats interleave with its chunks and fig3's peak RSS grows ≈0.4 MiB.
         text = _json_text({
             "engine": spec.engine,
-            "fixed": _params_echo(spec.fixed),
+            "fixed": asdict(spec.fixed),
             "axis1": asdict(spec.axis1),
             "axis2": asdict(spec.axis2),
             "values": grid.values.tolist(),
@@ -295,7 +289,7 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | Non
     passed = residual <= DRESSED_CHECK_TOL
     report = {
         "command": "dressed-check",
-        "params": _params_echo(params),
+        "params": asdict(params),
         "direct": asdict(direct),
         "dressed": asdict(dressed),
         "residual": residual,

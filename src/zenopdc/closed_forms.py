@@ -11,14 +11,15 @@ Four regimes admit explicit laws for the vacuum-input signal occupation:
 Every formula is an entire function of the squared rate that controls it, so
 the oscillatory and growing branches are the same expression continued across
 zero; a short even series bridges the numerically degenerate window around
-the branch point.  Where rate·length is too large for a float, every law
-raises NumericError instead of returning inf/nan.
+the branch point.  The matched probed and mismatched unprobed laws return
+one ClosedFormResult (n_s, n_i, n_b, branch).  Where rate·length is too large
+for a float, every law raises NumericError instead of returning inf/nan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import CouplerParams, DomainError, NumericError, require_finite as _require
 
@@ -33,11 +34,12 @@ BRANCH_THRESHOLD = "threshold"
 BRANCH_WINDOW = 1e-6
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
-    """A closed-form occupation value plus the branch that produced it."""
+class ClosedFormResult(NamedTuple):
+    """Occupations from a closed-form law plus the branch that produced them."""
 
     n_s: float
+    n_i: float
+    n_b: float
     branch: str
 
 
@@ -52,40 +54,41 @@ def _finite(law: str, value: float) -> float:
     return value
 
 
-def _sin_ratio(x: float, length: float) -> float:
-    """sin(√x L)/√x for x > 0, continued to sinh(√-x L)/√-x for x < 0."""
-    if x > 0.0:
+def _branch(x: float, gamma: float) -> str:
+    """Branch at the squared rate x: threshold within BRANCH_WINDOW·Γ² of 0, else by sign."""
+    if abs(x) <= BRANCH_WINDOW * gamma * gamma:
+        return BRANCH_THRESHOLD
+    return BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
+
+
+def _sin_ratio(x: float, length: float, branch: str) -> float:
+    """sin(√x L)/√x for x > 0, continued to sinh(√-x L)/√-x for x < 0.
+
+    On the threshold branch a four-term even series around x = 0.
+    """
+    if branch == BRANCH_TRIG:
         r = math.sqrt(x)
         return math.sin(r * length) / r
-    if x < 0.0:
+    if branch == BRANCH_HYPERBOLIC:
         r = math.sqrt(-x)
         return math.sinh(r * length) / r
-    return length
-
-
-def _versine_ratio(x: float, length: float) -> float:
-    """(1 - cos(√x L))/x continued across x = 0, evaluated cancellation-free.
-
-    Uses 1 - cos θ = 2 sin²(θ/2) (and cosh θ - 1 = 2 sinh²(θ/2) for x < 0),
-    so small arguments lose no precision.
-    """
-    if x > 0.0:
-        s = math.sin(0.5 * math.sqrt(x) * length)
-        return 2.0 * s * s / x
-    if x < 0.0:
-        s = math.sinh(0.5 * math.sqrt(-x) * length)
-        return 2.0 * s * s / (-x)
-    return 0.5 * length * length
-
-
-def _sin_ratio_series(x: float, length: float) -> float:
-    """Four-term even series of sin(√x L)/√x around x = 0."""
     u = x * length * length
     return length * (1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0)
 
 
-def _versine_ratio_series(x: float, length: float) -> float:
-    """Four-term even series of (1 - cos(√x L))/x around x = 0."""
+def _versine_ratio(x: float, length: float, branch: str) -> float:
+    """(1 - cos(√x L))/x continued across x = 0, evaluated cancellation-free.
+
+    Uses 1 - cos θ = 2 sin²(θ/2) (and cosh θ - 1 = 2 sinh²(θ/2) for x < 0),
+    so small arguments lose no precision; on the threshold branch a four-term
+    even series around x = 0.
+    """
+    if branch == BRANCH_TRIG:
+        s = math.sin(0.5 * math.sqrt(x) * length)
+        return 2.0 * s * s / x
+    if branch == BRANCH_HYPERBOLIC:
+        s = math.sinh(0.5 * math.sqrt(-x) * length)
+        return 2.0 * s * s / (-x)
     u = x * length * length
     return length * length * (0.5 - u / 24.0 + u * u / 720.0 - u * u * u / 40320.0)
 
@@ -101,12 +104,10 @@ def n_s_matched(gamma: float, length: float) -> float:
     return _finite("matched unprobed law", n_s)
 
 
-def coupled_matched_occupations(
-    gamma: float, kappa: float, length: float
-) -> tuple[float, float, float, str]:
+def coupled_matched_occupations(gamma: float, kappa: float, length: float) -> ClosedFormResult:
     """All three occupations for the matched probed coupler (Δ = 0).
 
-    Returns (n_s, n_i, n_b, branch).  With χ² = κ² - Γ²,
+    With χ² = κ² - Γ²,
 
         n_i = Γ² [sin(χL)/χ]²,   n_b = κ²Γ² [(1 - cos χL)/χ²]²,
 
@@ -118,66 +119,49 @@ def coupled_matched_occupations(
     gamma = _require("gamma", gamma)
     kappa = _require("kappa", kappa)
     length = _require("length", length)
+    law = "matched probed law"
     try:
         x = (kappa - gamma) * (kappa + gamma)
-        if abs(x) <= BRANCH_WINDOW * gamma * gamma:
-            branch = BRANCH_THRESHOLD
-            s = _sin_ratio_series(x, length)
-            c = _versine_ratio_series(x, length)
-        else:
-            branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
-            s = _sin_ratio(x, length)
-            c = _versine_ratio(x, length)
-        n_i = (gamma * s) ** 2
-        n_b = (kappa * gamma * c) ** 2
+        branch = _branch(x, gamma)
+        n_i = (gamma * _sin_ratio(x, length, branch)) ** 2
+        n_b = (kappa * gamma * _versine_ratio(x, length, branch)) ** 2
     except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
-        raise _unrepresentable("matched probed law") from exc
-    return _finite("matched probed law", n_i + n_b), n_i, n_b, branch
-
-
-def n_s_coupled_matched(gamma: float, kappa: float, length: float) -> ClosedFormResult:
-    """Matched probed law: n_s for Δ = 0 at any probe coupling κ."""
-    n_s, _, _, branch = coupled_matched_occupations(gamma, kappa, length)
-    return ClosedFormResult(n_s=n_s, branch=branch)
+        raise _unrepresentable(law) from exc
+    return ClosedFormResult(_finite(law, n_i + n_b), n_i, n_b, branch)
 
 
 def n_s_mismatched_uncoupled(gamma: float, delta: float, length: float) -> ClosedFormResult:
     """Unprobed mismatched law: n_s = Γ² sinh²(gL)/g² with g² = Γ² - Δ²/4.
 
-    For Δ²/4 > Γ² the continuation oscillates (trigonometric branch); the
-    window |Γ² - Δ²/4| <= BRANCH_WINDOW·Γ² uses the series and is tagged
-    "threshold".
+    The idler mirrors the signal (n_i = n_s) and the probe stays empty.  For
+    Δ²/4 > Γ² the continuation oscillates (trigonometric branch); the window
+    |Γ² - Δ²/4| <= BRANCH_WINDOW·Γ² uses the series and is tagged "threshold".
     """
     gamma = _require("gamma", gamma)
     delta = _require("delta", delta, nonnegative=False)
     length = _require("length", length)
+    law = "mismatched unprobed law"
     # x > 0 is the oscillatory side of sin(√x L)/√x, i.e. Δ²/4 > Γ².
     try:
         x = 0.25 * delta * delta - gamma * gamma
-        if abs(x) <= BRANCH_WINDOW * gamma * gamma:
-            branch = BRANCH_THRESHOLD
-            s = _sin_ratio_series(x, length)
-        else:
-            branch = BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
-            s = _sin_ratio(x, length)
-        n_s = (gamma * s) ** 2
+        branch = _branch(x, gamma)
+        n_s = (gamma * _sin_ratio(x, length, branch)) ** 2
     except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
-        raise _unrepresentable("mismatched unprobed law") from exc
-    return ClosedFormResult(n_s=_finite("mismatched unprobed law", n_s), branch=branch)
+        raise _unrepresentable(law) from exc
+    n_s = _finite(law, n_s)
+    return ClosedFormResult(n_s, n_s, 0.0, branch)
 
 
-def closed_form_occupations(params: CouplerParams) -> tuple[float, float, float, str]:
-    """(n_s, n_i, n_b, branch) from the closed form that covers ``params``.
+def closed_form_occupations(params: CouplerParams) -> ClosedFormResult:
+    """The result of the closed form that covers ``params``.
 
     Δ = 0 takes the matched probed law, else κ = 0 the mismatched unprobed
-    law (whose idler mirrors the signal and whose probe stays empty); any
-    other point raises DomainError.
+    law; any other point raises DomainError.
     """
     if params.delta == 0.0:
         return coupled_matched_occupations(params.gamma, params.kappa, params.length)
     if params.kappa == 0.0:
-        result = n_s_mismatched_uncoupled(params.gamma, params.delta, params.length)
-        return result.n_s, result.n_s, 0.0, result.branch
+        return n_s_mismatched_uncoupled(params.gamma, params.delta, params.length)
     raise DomainError(
         "closed-form engine requires delta = 0 or kappa = 0; "
         "use --engine exact (or ode) for the general case"

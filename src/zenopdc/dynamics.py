@@ -26,7 +26,6 @@ numerical oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +40,9 @@ from .params import (
 
 #: Mode order used by every map in this package: signal, idler, probe.
 MODES = ("s", "i", "b")
+
+#: Accuracy request of the ODE oracle :func:`propagate_ode` for its map.
+ODE_TOLERANCE = 1e-10
 
 #: Frame-phase exponents per row of (a_s†, a_i, b), in units of ΔL/2.
 _FRAME_SIGNS = np.array([-1j, 1j, 1j])
@@ -242,7 +244,7 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     return map_from_transfer(w, params)
 
 
-def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> BogoliubovMap:
+def propagate_ode(params: CouplerParams) -> BogoliubovMap:
     """Independent oracle: integrate the time-dependent system directly.
 
     The transfer matrix on (a_s†, a_i, b) obeys dW/dt = C(t) W with
@@ -254,13 +256,10 @@ def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> Bogol
     embedded Runge-Kutta pair.  No rotating frame is used, so this path
     shares no derivation step with :func:`propagate_exact`.
 
-    ``step_tolerance`` is the accuracy request for the returned map; the
-    integrator runs at rtol = atol = step_tolerance/20 so that accumulated
+    ``ODE_TOLERANCE`` is the accuracy request for the returned map; the
+    integrator runs at rtol = atol = ODE_TOLERANCE/20 so that accumulated
     global error stays within the documented 10x agreement contract.
     """
-    tol = float(step_tolerance)
-    if not math.isfinite(tol) or tol <= 0.0:
-        raise InvalidParameterError(f"step_tolerance must be > 0, got {step_tolerance!r}")
     if params.length == 0.0:
         return map_from_transfer(np.eye(3, dtype=np.complex128), params)
 
@@ -281,7 +280,8 @@ def propagate_ode(params: CouplerParams, step_tolerance: float = 1e-10) -> Bogol
         return (c @ w).ravel().view(np.float64)
 
     y0 = np.eye(3, dtype=np.complex128).ravel().view(np.float64).copy()
-    sol = solve_ivp(rhs, (0.0, params.length), y0, method="RK45", rtol=tol / 20.0, atol=tol / 20.0)
+    rtol = ODE_TOLERANCE / 20.0
+    sol = solve_ivp(rhs, (0.0, params.length), y0, method="RK45", rtol=rtol, atol=rtol)
     if not sol.success:
         raise IntegrationError(f"adaptive integrator failed: {sol.message}")
     w = sol.y[:, -1].copy().view(np.complex128).reshape(3, 3)

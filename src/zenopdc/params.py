@@ -41,7 +41,7 @@ class FlatLandscapeWarning(UserWarning):
     """A maximization scan found an (almost) flat objective."""
 
 
-_FIELD_NAMES = ("gamma", "kappa", "delta", "length", "tol_sym", "tol_phys")
+_FIELD_NAMES = ("gamma", "kappa", "delta", "length")
 _NONNEGATIVE = ("gamma", "kappa", "length")
 
 
@@ -65,7 +65,7 @@ def require_finite(name: str, value: float, nonnegative: bool = True) -> float:
 
 @dataclass(frozen=True)
 class CouplerParams:
-    """The four physical knobs plus numeric tolerances.
+    """The four physical knobs.
 
     Parameters
     ----------
@@ -77,10 +77,6 @@ class CouplerParams:
         Pump phase mismatch Δ (inverse length, any sign).
     length:
         Interaction length L (>= 0).
-    tol_sym:
-        Acceptable residual for the symplectic identities of a propagated map.
-    tol_phys:
-        Acceptable violation of positivity / photon-number conservation.
 
     The dynamics depend on the knobs only through the products ΓL, κL, ΔL, so
     occupations are invariant under (Γ, κ, Δ, L) -> (cΓ, cκ, cΔ, L/c); see
@@ -91,15 +87,11 @@ class CouplerParams:
     kappa: float
     delta: float
     length: float
-    tol_sym: float = 1e-10
-    tol_phys: float = 1e-10
 
     def __post_init__(self) -> None:
         for name in _FIELD_NAMES:
             value = require_finite(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
             object.__setattr__(self, name, value)
-        if self.tol_sym <= 0.0 or self.tol_phys <= 0.0:
-            raise InvalidParameterError("tolerances must be > 0")
 
     def rescaled(self, c: float) -> "CouplerParams":
         """Return the physically equivalent parameter set (cΓ, cκ, cΔ, L/c)."""

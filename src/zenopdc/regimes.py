@@ -237,8 +237,9 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
     "hyperbolic" for discriminant > +tol (compensated growth), "boundary"
     within the scale-aware tolerance, applied to the cubic of (Γ, κ, Δ)/r with
     r = max(Γ, κ, |Δ|) so that the tag, like the physics, is invariant under
-    :meth:`CouplerParams.rescaled` however small the rates; the reported values
-    stay physical (a discriminant that underflows reads 0).
+    :meth:`CouplerParams.rescaled` however small the rates.  The roots are
+    the unit cubic's times r, so they scale with the rates too; the other
+    reported values stay physical (a discriminant that underflows reads 0).
     ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
     None when it does not.  Raises NumericError when the coefficients, the
     discriminant or the boundary pair overflow float64.
@@ -263,7 +264,7 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
         regime = REGIME_HYPERBOLIC
     else:
         regime = REGIME_BOUNDARY
-    roots = _cubic_roots(coeffs, disc)
+    roots = tuple(r * z for z in _cubic_roots(unit, unit_disc))
     try:
         boundaries: tuple[float, float] | None = regime_boundaries(params.gamma, params.delta)
     except DomainError:

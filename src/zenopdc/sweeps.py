@@ -128,7 +128,7 @@ def _require_ok(ok: NDArray[np.bool_], what: str) -> None:
     if not ok.all():
         raise NumericError(
             f"{what}: {np.count_nonzero(~ok)} of {ok.size} propagations are not finite; "
-            "gain*length is beyond the representable range"
+            "rate*length is beyond the representable range"
         )
 
 
@@ -193,8 +193,7 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
         delta = _require("delta", delta, nonnegative=False)
         if delta <= 0.0:
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
-        with np.errstate(over="ignore", invalid="ignore"):  # 2Δ = inf fails as not ok below
-            kappas = np.linspace(0.0, 2.0 * delta, _SCAN_POINTS)
+        kappas = np.linspace(0.0, _require("ridge scan end 2*delta", 2.0 * delta), _SCAN_POINTS)
         scan, ok = _signal(gamma, kappas, delta, length)
         _require_ok(ok, f"ridge scan at delta={delta}")
         lo, hi = float(scan.min()), float(scan.max())

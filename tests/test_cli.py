@@ -294,6 +294,11 @@ def test_ridge_bad_range_exits_2():
                                          "count": 3}},
                      id="sweep-infinite-axis-span"),
         pytest.param("ridge", {"deltas": [1.7e308]}, id="ridge-infinite-scan"),
+        # CouplerParams has no tolerance fields, so a fixed block has no tol_* keys
+        pytest.param("sweep", {"fixed": {"tol_sym": 1e-12},
+                               "axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2},
+                               "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}},
+                     id="sweep-tolerance-in-fixed"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, command, config):

@@ -1,6 +1,7 @@
 """Closed-form laws: frozen values, branch handling, oracle equivalence."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from zenopdc import (
     InvalidParameterError,
     NumericError,
     coupled_matched_occupations,
-    n_s_coupled_matched,
     n_s_large_mismatch_asymptote,
     n_s_matched,
     n_s_mismatched_uncoupled,
@@ -24,7 +24,7 @@ from zenopdc import (
     propagate_exact,
     vacuum_occupations,
 )
-from zenopdc.closed_forms import BRANCH_WINDOW
+from zenopdc.closed_forms import BRANCH_WINDOW, closed_form_occupations
 
 _finite = lambda lo, hi: st.floats(  # noqa: E731
     min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False
@@ -46,7 +46,7 @@ def test_matched_growth_is_strictly_increasing():
 def test_coupled_matched_frozen_value():
     # Independently cross-checked against the exact propagator and the ODE
     # oracle; the three routes agree to ~4e-16.
-    res = n_s_coupled_matched(0.5, 1.0, 1.0)
+    res = coupled_matched_occupations(0.5, 1.0, 1.0)
     assert res.n_s == pytest.approx(0.2485385524325554, abs=1e-14)
     assert res.branch == BRANCH_TRIG
 
@@ -63,15 +63,15 @@ def test_coupled_matched_splits_idler_and_probe():
 
 def test_uncoupled_probe_reduces_to_matched_growth():
     # kappa = 0 must reproduce free downconversion via the hyperbolic branch.
-    res = n_s_coupled_matched(0.5, 0.0, 1.0)
+    res = coupled_matched_occupations(0.5, 0.0, 1.0)
     assert res.branch == BRANCH_HYPERBOLIC
     assert res.n_s == pytest.approx(math.sinh(0.5) ** 2, abs=1e-15)
 
 
 def test_branch_tags():
-    assert n_s_coupled_matched(0.5, 2.0, 1.0).branch == BRANCH_TRIG
-    assert n_s_coupled_matched(0.5, 0.2, 1.0).branch == BRANCH_HYPERBOLIC
-    assert n_s_coupled_matched(0.5, 0.5, 1.0).branch == BRANCH_THRESHOLD
+    assert coupled_matched_occupations(0.5, 2.0, 1.0).branch == BRANCH_TRIG
+    assert coupled_matched_occupations(0.5, 0.2, 1.0).branch == BRANCH_HYPERBOLIC
+    assert coupled_matched_occupations(0.5, 0.5, 1.0).branch == BRANCH_THRESHOLD
     assert n_s_mismatched_uncoupled(0.5, 5.0, 1.0).branch == BRANCH_TRIG
     assert n_s_mismatched_uncoupled(0.5, 0.3, 1.0).branch == BRANCH_HYPERBOLIC
     assert n_s_mismatched_uncoupled(0.5, 1.0, 1.0).branch == BRANCH_THRESHOLD
@@ -97,7 +97,7 @@ def test_series_window_is_seamless(side):
     for factor in (0.5, 0.99, 1.01, 2.0):
         kappa = math.sqrt(gamma * gamma + factor * x_edge)
         inside = abs(factor * x_edge) <= BRANCH_WINDOW * gamma * gamma
-        res = n_s_coupled_matched(gamma, kappa, length)
+        res = coupled_matched_occupations(gamma, kappa, length)
         expected_branch = (
             BRANCH_THRESHOLD
             if inside
@@ -106,8 +106,8 @@ def test_series_window_is_seamless(side):
         assert res.branch == expected_branch
     # continuity across the edge: sample both sides of the crossover kappa
     k_edge = math.sqrt(gamma * gamma + x_edge)
-    below = n_s_coupled_matched(gamma, k_edge * (1.0 - 1e-9), length).n_s
-    above = n_s_coupled_matched(gamma, k_edge * (1.0 + 1e-9), length).n_s
+    below = coupled_matched_occupations(gamma, k_edge * (1.0 - 1e-9), length).n_s
+    above = coupled_matched_occupations(gamma, k_edge * (1.0 + 1e-9), length).n_s
     assert above == pytest.approx(below, rel=1e-8)
 
 
@@ -244,7 +244,7 @@ def test_coupled_matched_is_bounded_above_threshold(gamma, ratio, length):
     kappa = gamma * ratio
     chi_sq = kappa * kappa - gamma * gamma
     bound = gamma * gamma / chi_sq + 4.0 * kappa**2 * gamma**2 / chi_sq**2
-    assert n_s_coupled_matched(gamma, kappa, length).n_s <= bound * (1.0 + 1e-12)
+    assert coupled_matched_occupations(gamma, kappa, length).n_s <= bound * (1.0 + 1e-12)
 
 
 def test_asymptote_domain_errors():
@@ -262,6 +262,7 @@ def test_asymptote_domain_errors():
         (n_s_strong_coupling_asymptote, (0.5, 1e200, 1e200)),  # math.sin(inf)
         (n_s_large_mismatch_asymptote, (0.5, 1e200, 1e200)),
         (n_s_large_mismatch_asymptote, (1e300, 1e-300, 1.0)),  # prefactor overflows
+        (n_s_mismatched_uncoupled, (1e200, 3e200, 1e-200)),  # Δ²/4 - Γ² = inf - inf
     ],
 )
 def test_laws_beyond_float_range_raise_numeric_error(law, args):
@@ -278,3 +279,27 @@ def test_invalid_inputs():
         n_s_mismatched_uncoupled(0.5, 5.0, -1.0)
     with pytest.raises(InvalidParameterError):
         n_s_matched(math.inf, 1.0)
+
+
+def test_result_supports_index_attribute_and_unpacking_access():
+    res = coupled_matched_occupations(0.5, 1.0, 1.0)
+    assert res[0] == res.n_s
+    n_s, n_i, n_b, branch = res
+    assert (n_s, n_i, n_b, branch) == (res.n_s, res.n_i, res.n_b, res.branch)
+    unprobed = n_s_mismatched_uncoupled(0.5, 0.3, 1.0)
+    assert unprobed == (unprobed.n_s, unprobed.n_s, 0.0, BRANCH_HYPERBOLIC)
+    for delta in (0.3, 1.0, 5.0):
+        n_s, _, _, branch = n_s_mismatched_uncoupled(0.5, delta, 1.0)
+        via_dispatch = closed_form_occupations(CouplerParams(0.5, 0.0, delta, 1.0))
+        assert tuple(via_dispatch) == (n_s, n_s, 0.0, branch)  # bitwise: == on floats
+
+
+def test_package_all_lists_exactly_the_public_names():
+    import zenopdc
+
+    public = {
+        name
+        for name, value in vars(zenopdc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(zenopdc.__all__) == sorted(public | {"__version__"})

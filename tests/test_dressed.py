@@ -83,10 +83,10 @@ def test_qpm_requires_positive_gain():
 
 
 def test_dressed_route_matches_matched_coupling_law():
-    from zenopdc import n_s_coupled_matched
+    from zenopdc import coupled_matched_occupations
 
     occ = propagate_dressed(CouplerParams(0.5, 5.0, 0.0, 1.0))
-    assert occ.n_s == pytest.approx(n_s_coupled_matched(0.5, 5.0, 1.0).n_s, abs=1e-9)
+    assert occ.n_s == pytest.approx(coupled_matched_occupations(0.5, 5.0, 1.0).n_s, abs=1e-9)
 
 
 def test_resonant_beats_qpm_model_at_finite_length():

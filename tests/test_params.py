@@ -20,7 +20,6 @@ from zenopdc import (
 def test_fields_and_defaults():
     p = CouplerParams(gamma=0.5, kappa=1.0, delta=-2.0, length=1.5)
     assert (p.gamma, p.kappa, p.delta, p.length) == (0.5, 1.0, -2.0, 1.5)
-    assert p.tol_sym == 1e-10 and p.tol_phys == 1e-10
 
 
 def test_coerces_to_float():
@@ -58,14 +57,6 @@ def test_rejects_non_finite(bad):
 def test_rejects_bool():
     with pytest.raises(InvalidParameterError):
         CouplerParams(True, 0, 0, 1)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10])
-def test_rejects_non_positive_tolerances(tol):
-    with pytest.raises(InvalidParameterError):
-        CouplerParams(0.5, 1.0, 0.0, 1.0, tol_sym=tol)
-    with pytest.raises(InvalidParameterError):
-        CouplerParams(0.5, 1.0, 0.0, 1.0, tol_phys=tol)
 
 
 def test_rescaled_fields():

@@ -336,6 +336,17 @@ def test_regime_tag_is_scale_invariant(point, regime):
         assert classify_regime(params.rescaled(c)).regime == regime
 
 
+@pytest.mark.parametrize("c", [1e-60, 1e-110, 1e-150])
+def test_roots_scale_with_the_rates(c):
+    # The roots of (cΓ, cκ, cΔ) are c times those of (Γ, κ, Δ), also where the
+    # physical discriminant underflows and its sign no longer picks the formula.
+    for point in ((0.5, 5.0, 5.0, 1.0), (0.5, 2.0, 5.0, 1.0)):
+        params = CouplerParams(*point)
+        scaled = classify_regime(params.rescaled(c)).roots
+        for z, unscaled in zip(scaled, classify_regime(params).roots):
+            assert z / c == pytest.approx(unscaled, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "point",
     [(1e100, 1e100, 1e100), (1.0, 1e160, 1.0), (1e160, 1.0, 1.0), (1.0, 1.0, 1e102)],

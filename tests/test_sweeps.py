@@ -223,6 +223,8 @@ def test_ridge_input_validation():
         find_anti_zeno_ridge(0.5, 1.5, [-1.0])
     with pytest.raises(InvalidParameterError):
         find_anti_zeno_ridge(0.5, 1.5, [0.0])
+    with pytest.raises(InvalidParameterError):  # the scan end 2*delta overflows
+        find_anti_zeno_ridge(0.5, 1.5, [1e308])
 
 
 def test_flat_landscape_warns():
