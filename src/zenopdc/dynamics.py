@@ -14,14 +14,16 @@ constant real generator
          [ -Γ,  -Δ/2,  -κ  ],
          [  0,   -κ,  -Δ/2 ]].
 
-``propagate_batch`` takes arrays of (Γ, κ, Δ, L), stacks one generator per
-cell, exponentiates the whole stack with one call of :func:`expm_i`, the
-package's one matrix-exponential kernel, and reattaches the frame phases
-e^{∓iΔL/2}, so the returned blocks refer to the original (unrotated)
-operators.  ``propagate_exact`` is its single-cell case and wraps the result
-in a :class:`BogoliubovMap`.  ``propagate_ode`` integrates the time-dependent
-system directly, with no rotating frame, and serves as an independent
-numerical oracle.
+Every exact route is one :func:`propagate_step`: generators, per-row frame
+phases and lengths in, one call of :func:`expm_i` (the package's one
+matrix-exponential kernel), ``(u, v, ok)`` out, where ``ok`` is the one
+finiteness rule (finite transfer matrix and vacuum occupations).
+:func:`require_ok` raises on a failed mask and :func:`frozen_map` builds every
+:class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
+e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
+it, and ``dressed`` runs its own frame through the same step.
+``propagate_ode`` integrates the time-dependent system directly, with no
+rotating frame, and serves as an independent numerical oracle.
 """
 
 from __future__ import annotations
@@ -43,9 +45,13 @@ MODES = ("s", "i", "b")
 
 #: Accuracy request of the ODE oracle :func:`propagate_ode` for its map.
 ODE_TOLERANCE = 1e-10
+#: Largest phase max(Γ, κ, |Δ|)·L the ODE oracle integrates: its steps must resolve
+#: every oscillation, so its cost grows with the phase, to seconds at 1e3, while the
+#: supported range ends at 30.
+ODE_PHASE_LIMIT = 1e3
 
-#: Frame-phase exponents per row of (a_s†, a_i, b), in units of ΔL/2.
-_FRAME_SIGNS = np.array([-1j, 1j, 1j])
+#: Frame-phase angles per row of (a_s†, a_i, b), in units of ΔL/2.
+_FRAME_SIGNS = np.array([-1.0, 1.0, 1.0])
 
 #: Padé [13/13] coefficients b_0 … b_13 of exp (Higham 2005, eq. 2.11).
 _PADE_13 = (
@@ -82,7 +88,7 @@ class BogoliubovMap:
 
 @dataclass(frozen=True)
 class ModeOccupations:
-    """Vacuum-input photon numbers per mode (clamped at zero in reporting)."""
+    """Vacuum-input photon numbers per mode."""
 
     n_s: float
     n_i: float
@@ -156,17 +162,6 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     return r.reshape(shape)
 
 
-def _transfer(gamma, kappa, delta, length) -> NDArray[np.complex128]:
-    """Original-frame transfer matrices on (a_s†, a_i, b), stacked over the inputs.
-
-    The rotated propagator exp(i M L) is computed first; the frame phases
-    e^{-iΔL/2} (row s†) and e^{+iΔL/2} (rows i, b) are then reattached.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(np.multiply.outer(0.5 * np.asarray(delta) * length, _FRAME_SIGNS))
-        return phases[..., :, None] * expm_i(_generators(gamma, kappa, delta), length)
-
-
 def split_transfer(
     w: NDArray[np.complex128],
 ) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
@@ -185,11 +180,32 @@ def split_transfer(
     return u, v
 
 
-def map_from_transfer(
-    w: NDArray[np.complex128], params: CouplerParams, modes: tuple[str, ...] = MODES
-) -> BogoliubovMap:
-    """Wrap one 3x3 transfer matrix as a write-protected :class:`BogoliubovMap`."""
+def propagate_step(m: NDArray[np.float64], angles, length):
+    """The one exact propagation step: W = diag(e^{iθ}) · exp(i m L), split into (U, V).
+
+    ``m`` is a real generator or a stack (..., 3, 3), ``angles`` the frame
+    phases θ per row, shape ``stack + (3,)``, and ``length`` broadcasts over
+    the stack.  Returns stacked ``(u, v, ok)``; ``ok`` marks the cells whose W
+    and vacuum occupations are finite.  Nothing raises or warns for the others.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(1j * np.asarray(angles))[..., :, None] * expm_i(m, length)
     u, v = split_transfer(w)
+    ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(occupation_numbers(v)).all(axis=-1)
+    return u, v, ok
+
+
+def require_ok(ok, what: str) -> None:
+    """Raise NumericError naming ``what`` unless every cell of the ``ok`` mask is set."""
+    if not np.all(ok):
+        raise NumericError(
+            f"{what}: {np.count_nonzero(~np.asarray(ok))} of {np.size(ok)} propagations are "
+            "not finite; rate*length is beyond the representable range"
+        )
+
+
+def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
+    """Write-protect the (U, V) blocks in place and wrap them as a :class:`BogoliubovMap`."""
     u.setflags(write=False)
     v.setflags(write=False)
     return BogoliubovMap(u_block=u, v_block=v, params=params, modes=modes)
@@ -210,8 +226,7 @@ def propagate_batch(gamma, kappa, delta, length):
     is valid when, as :class:`CouplerParams` requires, its four values are
     finite and Γ, κ, L >= 0.  An invalid cell, or one whose exponential or
     vacuum occupations are not finite, gets ``ok = False`` and NaN blocks;
-    nothing is raised for it.  Every valid cell is bit-identical to
-    :func:`propagate_exact` on the same values.
+    nothing is raised for it.  :func:`propagate_exact` is one cell of it.
     """
     g, k, d, t = np.broadcast_arrays(*(
         _real_array(name, x)
@@ -221,9 +236,10 @@ def propagate_batch(gamma, kappa, delta, length):
     ok &= (g >= 0.0) & (k >= 0.0) & (t >= 0.0)
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t = (np.where(ok, x, 0.0) for x in (g, k, d, t))
-    w = _transfer(g, k, d, t)
-    u, v = split_transfer(w)
-    ok &= np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(occupation_numbers(v)).all(axis=-1)
+    with np.errstate(over="ignore"):
+        angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
+    u, v, finite = propagate_step(_generators(g, k, d), angles, t)
+    ok &= finite
     u[~ok] = np.nan
     v[~ok] = np.nan
     return u, v, ok
@@ -232,16 +248,13 @@ def propagate_batch(gamma, kappa, delta, length):
 def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     """Propagate through length L by exponentiating the rotating-frame generator.
 
-    The single-cell case of :func:`propagate_batch`, through the same
-    kernel.  Returns the Bogoliubov map for the original-frame operators; a
-    non-finite exponential raises NumericError.
+    One cell of :func:`propagate_batch`.  Returns the Bogoliubov map for the
+    original-frame operators; a cell whose exponential or vacuum occupations
+    are not finite raises NumericError.
     """
-    w = _transfer(params.gamma, params.kappa, params.delta, params.length)
-    if not np.all(np.isfinite(w)):
-        raise NumericError(
-            f"matrix exponential produced non-finite entries for t={params.length!r}"
-        )
-    return map_from_transfer(w, params)
+    u, v, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
+    require_ok(ok, "exact propagation")
+    return frozen_map(u, v, params)
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:
@@ -254,18 +267,25 @@ def propagate_ode(params: CouplerParams) -> BogoliubovMap:
     integrated column-by-column in the 6-dimensional real representation
     (real and imaginary parts interleaved) by an adaptive 4th/5th-order
     embedded Runge-Kutta pair.  No rotating frame is used, so this path
-    shares no derivation step with :func:`propagate_exact`.
+    shares no derivation step with :func:`propagate_exact`.  Its cost grows
+    with the phase max(Γ, κ, |Δ|)·L, so a phase above ``ODE_PHASE_LIMIT``
+    raises IntegrationError before integrating.
 
     ``ODE_TOLERANCE`` is the accuracy request for the returned map; the
     integrator runs at rtol = atol = ODE_TOLERANCE/20 so that accumulated
     global error stays within the documented 10x agreement contract.
     """
+    g, k, d = params.gamma, params.kappa, params.delta
     if params.length == 0.0:
-        return map_from_transfer(np.eye(3, dtype=np.complex128), params)
+        return frozen_map(*split_transfer(np.eye(3, dtype=np.complex128)), params)
+    phase = max(g, k, abs(d)) * params.length
+    if phase > ODE_PHASE_LIMIT:
+        raise IntegrationError(
+            f"ODE oracle phase max(gamma, kappa, |delta|)*length = {phase:.6g} exceeds "
+            f"{ODE_PHASE_LIMIT:g}; use the exact engine"
+        )
 
     from scipy.integrate import solve_ivp  # the oracle alone pays this import
-
-    g, k, d = params.gamma, params.kappa, params.delta
 
     def rhs(t: float, y: NDArray[np.float64]) -> NDArray[np.float64]:
         w = y.view(np.complex128).reshape(3, 3)
@@ -285,7 +305,7 @@ def propagate_ode(params: CouplerParams) -> BogoliubovMap:
     if not sol.success:
         raise IntegrationError(f"adaptive integrator failed: {sol.message}")
     w = sol.y[:, -1].copy().view(np.complex128).reshape(3, 3)
-    return map_from_transfer(w, params)
+    return frozen_map(*split_transfer(w), params)
 
 
 def occupation_numbers(v: NDArray[np.complex128]) -> NDArray[np.float64]:
@@ -307,7 +327,7 @@ def vacuum_occupations(bmap: BogoliubovMap) -> ModeOccupations:
             "vacuum occupations overflow float64; gain*length is beyond the "
             "representable range"
         )
-    return ModeOccupations(*(max(0.0, float(x)) for x in n))
+    return ModeOccupations(*map(float, n))
 
 
 def check_symplectic(bmap: BogoliubovMap) -> float:
@@ -344,10 +364,7 @@ def compose(second: BogoliubovMap, first: BogoliubovMap) -> BogoliubovMap:
     u2, v2 = second.u_block, second.v_block
     u = u2 @ u1 + phase * (v2 @ np.conj(v1))
     v = u2 @ v1 + phase * (v2 @ np.conj(u1))
-    u.setflags(write=False)
-    v.setflags(write=False)
-    total = replace(p1, length=p1.length + p2.length)
-    return BogoliubovMap(u_block=u, v_block=v, params=total, modes=first.modes)
+    return frozen_map(u, v, replace(p1, length=p1.length + p2.length), first.modes)
 
 
 def __getattr__(name: str):

@@ -30,7 +30,7 @@ class NumericError(CouplerError, ArithmeticError):
 
 
 class IntegrationError(NumericError):
-    """The adaptive integrator stalled (step size underflow)."""
+    """The ODE oracle failed: its integrator stalled, or the phase is beyond its bound."""
 
 
 class BoundaryNotFoundError(CouplerError, RuntimeError):

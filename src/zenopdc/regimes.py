@@ -238,8 +238,10 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
     within the scale-aware tolerance, applied to the cubic of (Γ, κ, Δ)/r with
     r = max(Γ, κ, |Δ|) so that the tag, like the physics, is invariant under
     :meth:`CouplerParams.rescaled` however small the rates.  The roots are
-    the unit cubic's times r, so they scale with the rates too; the other
-    reported values stay physical (a discriminant that underflows reads 0).
+    the unit cubic's times r, so they scale with the rates too, and its
+    smallest root, when real, is taken from Vieta (-c0 over the product of the
+    other two) wherever that product is non-zero; the other reported values
+    stay physical (a discriminant that underflows reads 0).
     ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
     None when it does not.  Raises NumericError when the coefficients, the
     discriminant or the boundary pair overflow float64.
@@ -264,7 +266,15 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
         regime = REGIME_HYPERBOLIC
     else:
         regime = REGIME_BOUNDARY
-    roots = tuple(r * z for z in _cubic_roots(unit, unit_disc))
+    roots = list(_cubic_roots(unit, unit_disc))
+    # A real root much smaller than the others (≈ -ΔΓ²/c1 for Γ << κ, |Δ|) comes out
+    # of either closed form by cancellation; Vieta's λ1λ2λ3 = -c0 recovers it from the
+    # two larger roots to rounding.
+    small = min(range(3), key=lambda i: abs(roots[i]))
+    others = roots[small - 1] * roots[small - 2]
+    if roots[small].imag == 0.0 and others != 0.0:
+        roots[small] = complex((-unit.c0 / others).real)
+    roots = tuple(r * z for z in roots)
     try:
         boundaries: tuple[float, float] | None = regime_boundaries(params.gamma, params.delta)
     except DomainError:

@@ -21,13 +21,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_occupations
-from .dynamics import occupation_numbers, propagate_batch
+from .dynamics import occupation_numbers, propagate_batch, require_ok
 from .params import (
     CouplerError,
     CouplerParams,
     FlatLandscapeWarning,
     InvalidParameterError,
-    NumericError,
     require_finite as _require,
 )
 
@@ -124,14 +123,6 @@ def _signal(gamma, kappa, delta, length) -> tuple[NDArray[np.float64], NDArray[n
     return occupation_numbers(v)[..., 0], ok
 
 
-def _require_ok(ok: NDArray[np.bool_], what: str) -> None:
-    if not ok.all():
-        raise NumericError(
-            f"{what}: {np.count_nonzero(~ok)} of {ok.size} propagations are not finite; "
-            "rate*length is beyond the representable range"
-        )
-
-
 def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     """Evaluate the grid row by row, one stacked propagation per axis-1 row.
 
@@ -195,7 +186,7 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
         kappas = np.linspace(0.0, _require("ridge scan end 2*delta", 2.0 * delta), _SCAN_POINTS)
         scan, ok = _signal(gamma, kappas, delta, length)
-        _require_ok(ok, f"ridge scan at delta={delta}")
+        require_ok(ok, f"ridge scan at delta={delta}")
         lo, hi = float(scan.min()), float(scan.max())
         # Variation below one part in 1e6 is indistinguishable from the
         # rounding noise of near-identity maps (noise floor ~1e-7 relative),
@@ -213,7 +204,7 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
             # The middle offset is exactly 0, so k_opt itself is re-evaluated.
             zoom_kappas = np.maximum(k_opt + w * _ZOOM_OFFSETS, 0.0)
             zoom, ok = _signal(gamma, zoom_kappas, delta, length)
-            _require_ok(ok, f"ridge zoom at delta={delta}")
+            require_ok(ok, f"ridge zoom at delta={delta}")
             best = int(np.argmax(zoom))
             k_opt, n_max = float(zoom_kappas[best]), float(zoom[best])
             w /= 4.0
@@ -252,5 +243,5 @@ def max_signal_over_length(
         _require("delta", delta, nonnegative=False),
         np.linspace(0.0, _require("length_max", length_max), samples),
     )
-    _require_ok(ok, "max_signal_over_length")
+    require_ok(ok, "max_signal_over_length")
     return float(n_s.max())

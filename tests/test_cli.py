@@ -431,6 +431,51 @@ def test_cli_config_fuzz_exits_with_documented_codes(tmp_path, monkeypatch, case
     assert cli.main([command, "--config", str(path)]) in {0, 2, 3, 4, 5}
 
 
+def test_ode_engine_rejects_a_phase_beyond_its_bound():
+    # The oracle's cost grows with the phase max(Γ, κ, |Δ|)·L: at 1e12 it would run for weeks.
+    proc = run("simulate", "--engine", "ode", "--delta", "1e12", "--length", "1", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+# Log-uniform magnitudes over the whole float range, and exact zeros.
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+_SIGNED = st.tuples(_MAGNITUDE, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])
+_POINTS = st.tuples(_MAGNITUDE, _MAGNITUDE, _SIGNED, _MAGNITUDE)  # (Γ, κ, Δ, L)
+
+
+@settings(max_examples=25, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(point=_POINTS)
+@example(point=(200.0, 0.0, 0.0, 2.5))  # occupations overflow while the blocks stay finite
+@example(point=(0.5, 0.0, 1e12, 1.0))  # beyond the ODE oracle's phase bound
+@example(point=(1e300, 1e-300, -1e300, 1e300))
+@example(point=(0.0, 0.0, 0.0, 0.0))
+@pytest.mark.filterwarnings("ignore::zenopdc.FlatLandscapeWarning")
+def test_extreme_parameters_exit_with_documented_codes(tmp_path, capsys, point):
+    from zenopdc import cli
+
+    gamma, kappa, delta, length = point
+    flags = [f"--gamma={gamma!r}", f"--kappa={kappa!r}", f"--delta={delta!r}", f"--length={length!r}"]
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "fixed": {"gamma": gamma, "length": length},
+        "axis1": {"name": "kappa", "start": 0.0, "stop": kappa or 1.0, "count": 3},
+        "axis2": {"name": "delta", "start": -abs(delta) or -1.0, "stop": abs(delta) or 1.0,
+                  "count": 3},
+    }))
+    runs = [["simulate", "--engine", engine, *flags] for engine in ("exact", "ode", "closed-form")]
+    runs += [["classify", *flags], ["dressed-check", *flags],
+             ["ridge", f"--gamma={gamma!r}", f"--length={length!r}", f"--delta={delta!r}"]]
+    runs += [["sweep", "--config", str(sweep), "--engine", engine] for engine in cli.ENGINES]
+    for argv in runs:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in {0, 2, 3, 4, 5}, argv
+        if code in {2, 3}:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+
+
 # Closed form in the kappa = 0 row, numeric elsewhere, and cells whose gain*length overflows.
 _MIXED_SWEEP = {
     "fixed": {"delta": 0.5, "length": 2.5},

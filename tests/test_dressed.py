@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from zenopdc import (
     CouplerParams,
     DomainError,
+    NumericError,
     build_dressed_generator,
     dressed_bogoliubov_map,
     propagate_dressed,
@@ -99,3 +100,23 @@ def test_resonant_beats_qpm_model_at_finite_length():
             table["matched_channel"], np.sinh(0.5 * lengths / _SQRT2) ** 2
         )
         assert np.all(table["resonant"] > table["qpm_model"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "params", [CouplerParams(200.0, 0.0, 0.0, 2.5), CouplerParams(200.0, 3.0, 1.0, 2.5)]
+)
+def test_dressed_route_raises_where_the_occupations_overflow(params):
+    # finite blocks (e^{ΓL/√2} ≈ 1e153) whose squares overflow: the same rule as the direct route
+    with pytest.raises(NumericError):
+        propagate_exact(params)
+    with pytest.raises(NumericError):
+        dressed_bogoliubov_map(params)
+    with pytest.raises(NumericError):
+        propagate_dressed(params)
+
+
+@pytest.mark.filterwarnings("error")
+def test_resonant_vs_qpm_raises_where_the_occupations_overflow():
+    with pytest.raises(NumericError):
+        resonant_vs_qpm(200.0, 5.0, [2.5])

@@ -360,3 +360,26 @@ def test_overflowing_cubic_raises_numeric_error(point):
 def test_overflowing_weak_gain_pair_raises_numeric_error():
     with pytest.raises(NumericError):
         regime_boundaries(1e160, 1.0)
+
+
+def test_small_real_root_satisfies_vieta():
+    # For Γ << κ, |Δ| the smallest root ≈ -ΔΓ²/c1 comes out of the closed forms by
+    # cancellation (≈ 1e-7 relative off at this point); taken from Vieta, the roots'
+    # product is -c0 to rounding.  The sample checks every draw whose smallest root
+    # is real, the case Vieta refines.
+    rng = np.random.default_rng(24)
+    points = [(5.7e-5, 0.0152, 5.85)] + [
+        (rng.uniform(0.0, 2.0), rng.uniform(1e-3, 10.0), rng.uniform(-10.0, 10.0))
+        for _ in range(300)
+    ]
+    checked = 0
+    for gamma, kappa, delta in points:
+        report = classify_regime(CouplerParams(gamma, kappa, delta, 1.0))
+        if min(report.roots, key=abs).imag != 0.0:
+            continue
+        c0 = report.coefficients.c0
+        assert abs(np.prod(report.roots) + c0) <= 1e-12 * abs(c0), (gamma, kappa, delta)
+        checked += 1
+    assert checked > 200
+    small = min(classify_regime(CouplerParams(5.7e-5, 0.0152, 5.85, 1.0)).roots, key=abs)
+    assert small.real == pytest.approx(-5.5538836493e-10, rel=1e-10)
