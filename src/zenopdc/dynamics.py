@@ -22,8 +22,11 @@ finiteness rule (finite transfer matrix and vacuum occupations).
 :class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
 it, and ``dressed`` runs its own frame through the same step.
-``propagate_ode`` integrates the time-dependent system directly, with no
-rotating frame, and serves as an independent numerical oracle.
+``propagate_ode`` is the independent numerical oracle: a numpy-only
+Dormand–Prince 5(4) pair integrates the time-dependent system directly, with
+no rotating frame and no matrix exponential, over t/L ∈ [0, 1].  It advances
+a stack of cells in lockstep (``propagate_ode`` is the one-cell case), and a
+phase limit and a step budget bound its work.
 """
 
 from __future__ import annotations
@@ -49,6 +52,29 @@ ODE_TOLERANCE = 1e-10
 #: every oscillation, so its cost grows with the phase, to seconds at 1e3, while the
 #: supported range ends at 30.
 ODE_PHASE_LIMIT = 1e3
+
+#: Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980): the
+#: stage nodes c, the stage rows a (row 6 holds the fifth-order weights, so stage 7
+#: is the derivative at the new state and the next step's stage 1) and the error
+#: weights of the fifth- minus the embedded fourth-order solution.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+#: Step-size controller (Hairer, Nørsett & Wanner, §II.4): the next step is the last
+#: one times SAFETY·err^(-1/5), clipped to [MIN_FACTOR, MAX_FACTOR].
+_DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10.0
+#: Most steps, accepted or rejected, one ODE integration takes before it raises: 200 per
+#: unit of the phase limit, three times the most a phase needs (≈63 per unit, measured at
+#: (Γ, κ, Δ)·L = (300, 1e3, 1e3)).
+_ODE_STEP_BUDGET = 200 * int(ODE_PHASE_LIMIT)
 
 #: Frame-phase angles per row of (a_s†, a_i, b), in units of ΔL/2.
 _FRAME_SIGNS = np.array([-1.0, 1.0, 1.0])
@@ -264,48 +290,85 @@ def propagate_ode(params: CouplerParams) -> BogoliubovMap:
 
         C(t) = [[0, iΓe^{-iΔt}, 0], [-iΓe^{iΔt}, 0, -iκ], [0, -iκ, 0]],
 
-    integrated column-by-column in the 6-dimensional real representation
-    (real and imaginary parts interleaved) by an adaptive 4th/5th-order
-    embedded Runge-Kutta pair.  No rotating frame is used, so this path
-    shares no derivation step with :func:`propagate_exact`.  Its cost grows
-    with the phase max(Γ, κ, |Δ|)·L, so a phase above ``ODE_PHASE_LIMIT``
-    raises IntegrationError before integrating.
+    integrated from W(0) = I by the numpy Dormand–Prince 5(4) pair of
+    :func:`_ode_transfer`, as the one-cell case of its lockstep stack.  No
+    rotating frame, no matrix exponential and no :func:`propagate_step` is
+    used, so this path shares no derivation step with :func:`propagate_exact`.
+    Its cost grows with the phase max(Γ, κ, |Δ|)·L, so a phase above
+    ``ODE_PHASE_LIMIT`` raises IntegrationError before integrating, and a
+    step budget bounds the work below it.
 
     ``ODE_TOLERANCE`` is the accuracy request for the returned map; the
     integrator runs at rtol = atol = ODE_TOLERANCE/20 so that accumulated
     global error stays within the documented 10x agreement contract.
     """
-    g, k, d = params.gamma, params.kappa, params.delta
-    if params.length == 0.0:
-        return frozen_map(*split_transfer(np.eye(3, dtype=np.complex128)), params)
-    phase = max(g, k, abs(d)) * params.length
-    if phase > ODE_PHASE_LIMIT:
-        raise IntegrationError(
-            f"ODE oracle phase max(gamma, kappa, |delta|)*length = {phase:.6g} exceeds "
-            f"{ODE_PHASE_LIMIT:g}; use the exact engine"
-        )
-
-    from scipy.integrate import solve_ivp  # the oracle alone pays this import
-
-    def rhs(t: float, y: NDArray[np.float64]) -> NDArray[np.float64]:
-        w = y.view(np.complex128).reshape(3, 3)
-        ph = np.exp(1j * d * t)
-        c = np.array(
-            [
-                [0.0, 1j * g / ph, 0.0],
-                [-1j * g * ph, 0.0, -1j * k],
-                [0.0, -1j * k, 0.0],
-            ]
-        )
-        return (c @ w).ravel().view(np.float64)
-
-    y0 = np.eye(3, dtype=np.complex128).ravel().view(np.float64).copy()
-    rtol = ODE_TOLERANCE / 20.0
-    sol = solve_ivp(rhs, (0.0, params.length), y0, method="RK45", rtol=rtol, atol=rtol)
-    if not sol.success:
-        raise IntegrationError(f"adaptive integrator failed: {sol.message}")
-    w = sol.y[:, -1].copy().view(np.complex128).reshape(3, 3)
+    rates = (np.array([rate * params.length]) for rate in (params.gamma, params.kappa, params.delta))
+    w = _ode_transfer(*rates)[0]
     return frozen_map(*split_transfer(w), params)
+
+
+def _ode_transfer(g, k, d) -> NDArray[np.complex128]:
+    """W(1) of dW/dτ = C(τ) W, W(0) = I, for a stack of cells advanced in lockstep.
+
+    ``g``, ``k`` and ``d`` are the dimensionless rates ΓL, κL and ΔL, shape
+    ``(n,)``, and τ = t/L runs over [0, 1], so huge rates over tiny lengths
+    stay away from the edge of float64.  Each step of the Dormand–Prince 5(4)
+    pair takes one ``np.exp`` for the seven stage phases, and its size comes
+    from the worst cell's RMS error norm over the real and imaginary parts
+    (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4).  Returns the
+    ``(n, 3, 3)`` stack of transfer matrices.  Raises IntegrationError when a
+    phase exceeds ``ODE_PHASE_LIMIT``, at once on a non-finite state or error
+    norm, and when the step budget runs out; nothing warns.
+    """
+    tol = ODE_TOLERANCE / 20.0
+    with np.errstate(all="ignore"):
+        phase = np.max(np.abs([g, k, d]), initial=0.0)
+        if not phase <= ODE_PHASE_LIMIT:
+            raise IntegrationError(
+                f"ODE oracle phase max(gamma, kappa, |delta|)*length = {phase:.6g} exceeds "
+                f"{ODE_PHASE_LIMIT:g}; use the exact engine"
+            )
+        ig = 1j * g
+        c = np.zeros((7, g.size, 3, 3), dtype=np.complex128)  # C(τ) at the seven stages
+        c[..., 1, 2] = c[..., 2, 1] = -1j * k
+        c[..., 0, 1], c[..., 1, 0] = ig, -ig
+        stages = np.zeros_like(c)
+        stages[0] = c[0]  # C(0) W(0) with W(0) = I
+        flat = stages.reshape(7, -1)  # a view: one tableau row @ flat sums the stages
+        w = np.broadcast_to(np.eye(3, dtype=np.complex128), c.shape[1:]).copy()
+        # First step: h·phase = tol^(1/5), where the local error is about tol.
+        tau, h, rejected = 0.0, tol**0.2 / max(1.0, phase), False
+        for _ in range(_ODE_STEP_BUDGET):
+            tau_new = min(tau + h, 1.0)
+            h = tau_new - tau
+            rot = np.exp(1j * np.multiply.outer(tau + h * _DP_C, d))
+            c[..., 0, 1] = ig * rot.conj()
+            c[..., 1, 0] = -ig * rot
+            for i in range(1, 7):  # stage 7 is evaluated at the new state
+                y = w + h * (_DP_A[i, :i] @ flat[:i]).reshape(w.shape)
+                np.matmul(c[i], y, out=stages[i])
+            err = (h * (_DP_E @ flat)).view(np.float64)
+            scale = tol + tol * np.maximum(np.abs(w.view(np.float64)), np.abs(y.view(np.float64)))
+            norm = np.sqrt(np.max(np.mean((err.reshape(scale.shape) / scale) ** 2, axis=(1, 2))))
+            if not (np.isfinite(norm) and np.isfinite(y).all()):
+                raise IntegrationError(
+                    f"ODE oracle state is not finite at t/L = {tau:.6g}; "
+                    "rate*length is beyond the representable range"
+                )
+            factor = _DP_SAFETY * norm**-0.2  # inf for a zero norm
+            if norm < 1.0:
+                tau, w, stages[0] = tau_new, y, stages[6]
+                if tau == 1.0:
+                    return w
+                h *= min(1.0 if rejected else _DP_MAX_FACTOR, factor)
+                rejected = False
+            else:
+                h *= max(_DP_MIN_FACTOR, factor)
+                rejected = True
+    raise IntegrationError(
+        f"ODE oracle used its budget of {_ODE_STEP_BUDGET} steps and reached only "
+        f"t/L = {tau:.6g}; use the exact engine"
+    )
 
 
 def occupation_numbers(v: NDArray[np.complex128]) -> NDArray[np.float64]:

@@ -238,9 +238,10 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
     within the scale-aware tolerance, applied to the cubic of (Γ, κ, Δ)/r with
     r = max(Γ, κ, |Δ|) so that the tag, like the physics, is invariant under
     :meth:`CouplerParams.rescaled` however small the rates.  The roots are
-    the unit cubic's times r, so they scale with the rates too, and its
-    smallest root, when real, is taken from Vieta (-c0 over the product of the
-    other two) wherever that product is non-zero; the other reported values
+    the unit cubic's times r, so they scale with the rates too, and Vieta's
+    λ1λ2λ3 = -c0 refines the smaller ones: a real smallest root becomes -c0 over
+    the product of the other two wherever that is non-zero, and a smaller
+    complex pair is rescaled to |z|² = -c0/λ_real; the other reported values
     stay physical (a discriminant that underflows reads 0).
     ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
     None when it does not.  Raises NumericError when the coefficients, the
@@ -269,11 +270,14 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
     roots = list(_cubic_roots(unit, unit_disc))
     # A real root much smaller than the others (≈ -ΔΓ²/c1 for Γ << κ, |Δ|) comes out
     # of either closed form by cancellation; Vieta's λ1λ2λ3 = -c0 recovers it from the
-    # two larger roots to rounding.
+    # two larger roots to rounding.  Where the smaller roots are Cardano's complex pair
+    # (after the real root), Vieta fixes their modulus instead: |z|² = -c0/λ_real.
     small = min(range(3), key=lambda i: abs(roots[i]))
-    others = roots[small - 1] * roots[small - 2]
-    if roots[small].imag == 0.0 and others != 0.0:
-        roots[small] = complex((-unit.c0 / others).real)
+    if roots[small].imag == 0.0:
+        if (others := roots[small - 1] * roots[small - 2]) != 0.0:
+            roots[small] = complex((-unit.c0 / others).real)
+    elif (modulus2 := -unit.c0 / roots[0].real) > 0.0:
+        roots[1:] = [z * (math.sqrt(modulus2) / abs(z)) for z in roots[1:]]
     roots = tuple(r * z for z in roots)
     try:
         boundaries: tuple[float, float] | None = regime_boundaries(params.gamma, params.delta)

@@ -438,6 +438,16 @@ def test_ode_engine_rejects_a_phase_beyond_its_bound():
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
+def test_ode_engine_at_huge_rates_over_tiny_lengths_prints_no_warnings():
+    # Γ·L = 400: the blocks stay finite but n_s ≈ e^800/4 overflows float64.
+    proc = run("simulate", "--engine", "ode", "--gamma=1e200", "--length=4e-198")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    # Γ·L = κ·L = 1e-100: the oracle integrates the dimensionless rates, so nothing overflows.
+    proc = run("simulate", "--engine", "ode", "--gamma=1e200", "--kappa=1e200", "--length=1e-300")
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 # Log-uniform magnitudes over the whole float range, and exact zeros.
 _MAGNITUDE = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
 _SIGNED = st.tuples(_MAGNITUDE, st.sampled_from([1.0, -1.0])).map(lambda pair: pair[0] * pair[1])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from zenopdc import (
     CouplerParams,
+    IntegrationError,
     InvalidParameterError,
     NumericError,
     build_generator,
@@ -23,7 +24,8 @@ from zenopdc import (
     propagate_ode,
     vacuum_occupations,
 )
-from zenopdc.dynamics import expm_i
+from zenopdc import dynamics
+from zenopdc.dynamics import expm_i, split_transfer
 
 from conftest import draw_supported, supported_params
 
@@ -128,6 +130,34 @@ def test_ode_oracle_agrees_with_exact():
     assert worst <= 1e-9
 
 
+def test_stacked_ode_oracle_agrees_with_exact_in_every_cell():
+    # One lockstep integration of many cells: the step size follows the worst cell,
+    # so every cell must still meet the single-cell contract, the defective points
+    # (κ = Γ at Δ = 0, |Δ| = 2Γ at κ = 0) and a zero length included.
+    rng = np.random.default_rng(11)
+    cells = [draw_supported(rng) for _ in range(40)] + [
+        CouplerParams(0.5, 0.5, 0.0, 2.0),
+        CouplerParams(0.5, 0.0, 1.0, 2.0),
+        CouplerParams(0.5, 0.0, -1.0, 2.0),
+        CouplerParams(0.7, 3.0, -2.0, 0.0),
+    ]
+    g, k, d, length = _columns(cells)
+    u, v = split_transfer(dynamics._ode_transfer(g * length, k * length, d * length))
+    for i, params in enumerate(cells):
+        exact = propagate_exact(params)
+        scale = max(1.0, float(np.max(np.abs(exact.u_block))), float(np.max(np.abs(exact.v_block))))
+        diff = max(float(np.max(np.abs(exact.u_block - u[i]))),
+                   float(np.max(np.abs(exact.v_block - v[i]))))
+        assert diff <= 1e-9 * scale, params
+
+
+def test_ode_oracle_raises_when_its_step_budget_runs_out(monkeypatch):
+    # κL = 30 takes about a thousand steps; with a budget of 10 the oracle must stop.
+    monkeypatch.setattr(dynamics, "_ODE_STEP_BUDGET", 10)
+    with pytest.raises(IntegrationError, match="budget of 10 steps"):
+        propagate_ode(CouplerParams(0.5, 10.0, 10.0, 3.0))
+
+
 def test_uncoupled_unmatched_is_pure_probe_rotation():
     # With gamma = 0 the idler-probe pair just rotates, for any mismatch:
     # the frame phases cancel exactly and no pairs are created.
@@ -205,6 +235,24 @@ def test_import_and_exact_commands_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False, False]"
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_ode_engine_neither_loads_nor_needs_scipy(blocked):
+    # The ODE oracle is numpy-only.  sys.modules["scipy"] = None makes every scipy
+    # import raise ImportError, as if scipy were not installed.
+    code = (
+        "import contextlib, io, sys\n"
+        f"if {blocked}:\n"
+        "    sys.modules['scipy'] = None\n"
+        "from zenopdc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['simulate', '--engine', 'ode']) == 0\n"
+        "print(sys.modules.get('scipy', 'unloaded'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("None" if blocked else "unloaded")
 
 
 @pytest.mark.filterwarnings("error")

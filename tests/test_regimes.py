@@ -383,3 +383,23 @@ def test_small_real_root_satisfies_vieta():
     assert checked > 200
     small = min(classify_regime(CouplerParams(5.7e-5, 0.0152, 5.85, 1.0)).roots, key=abs)
     assert small.real == pytest.approx(-5.5538836493e-10, rel=1e-10)
+
+
+def test_smaller_complex_pair_satisfies_vieta():
+    # Where the two smaller roots are Cardano's complex pair (hyperbolic points with
+    # Γ << κ ≈ |Δ|), their modulus comes from Vieta, |z|² = -c0/λ_real, so the roots'
+    # product is -c0 to rounding (1.95e-12 relative off at the first point without it).
+    rng = np.random.default_rng(31)
+    points = [(0.0544, 7.48, -7.43)] + [
+        (rng.uniform(0.0, 2.0), rng.uniform(1e-3, 10.0), rng.uniform(-10.0, 10.0))
+        for _ in range(300)
+    ]
+    checked = 0
+    for gamma, kappa, delta in points:
+        report = classify_regime(CouplerParams(gamma, kappa, delta, 1.0))
+        if min(report.roots, key=abs).imag == 0.0:
+            continue
+        c0 = report.coefficients.c0
+        assert abs(np.prod(report.roots) + c0) <= 1e-12 * abs(c0), (gamma, kappa, delta)
+        checked += 1
+    assert checked > 50
