@@ -11,9 +11,9 @@ dressed-check take only JSON.  All artifacts are byte-deterministic.
 neither the work nor the output, because sweeps run serially.
 
 Exit codes: 0 success; 2 invalid parameters/config/range (including an
-unreadable config file and a JSON boolean where a number belongs) or an
-unwritable ``--out`` (a missing directory is caught before any work);
-3 engine-parameter mismatch (closed-form engine off its domain,
+unreadable config file, a JSON boolean where a number belongs and a grid or
+range too large to allocate) or an unwritable ``--out`` (a missing directory
+is caught before any work); 3 engine-parameter mismatch (closed-form engine off its domain,
 classification at kappa = 0); 4 sweep finished but some cells failed;
 5 dressed-frame cross-check exceeded its tolerance.
 """
@@ -38,7 +38,8 @@ from .dynamics import (
     propagate_ode,
     vacuum_occupations,
 )
-from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError, require_finite
+from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError
+from .params import require_allocatable, require_finite
 from .regimes import classify_regime
 from .sweeps import (
     ENGINE_NUMERIC,
@@ -314,6 +315,7 @@ def _parse_deltas(spec: str) -> list[float]:
     lo, hi, count = numbers
     if count < 1 or not lo < hi:
         raise InvalidParameterError(f"bad delta range {spec!r}: need min < max and count >= 1")
+    require_allocatable("delta range count", count, np.float64)
     require_finite("delta range max - min", hi - lo)  # also rejects an infinite end
     return [float(x) for x in np.linspace(lo, hi, count)]
 
@@ -420,6 +422,9 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     except CouplerError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # a grid or range too large for this machine's memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

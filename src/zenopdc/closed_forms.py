@@ -1,19 +1,19 @@
 """Closed-form signal photon numbers for the analytically solvable corners.
 
-Four regimes admit explicit laws for the vacuum-input signal occupation:
+The two solvable corners are the probed matched coupler (Δ = 0, where strong
+coupling freezes conversion) and the unprobed mismatched one (κ = 0).  Both
+have the eigenvalues 0, ±√x with x = κ² + Δ²/4 - Γ², so one law covers every
+cell with κΔ = 0 (:func:`covered`):
 
-* matched, unprobed (κ = 0, Δ = 0):  n_s = sinh²(ΓL)
-* matched, probed   (Δ = 0):         two-term law in χ² = κ² - Γ², valid on
-  both sides of the κ = Γ threshold by analytic continuation
-* mismatched, unprobed (κ = 0):      gain law in g² = Γ² - Δ²/4
-* strong-coupling / large-mismatch envelopes: bounded sine oscillations
+    n_i = Γ² [sin(√x L)/√x]²,   n_b = κ²Γ² [(1 - cos √x L)/x]²,   n_s = n_i + n_b.
 
-Every formula is an entire function of the squared rate that controls it, so
-the oscillatory and growing branches are the same expression continued across
-zero; a short even series bridges the numerically degenerate window around
-the branch point.  The matched probed and mismatched unprobed laws return
-one ClosedFormResult (n_s, n_i, n_b, branch).  Where rate·length is too large
-for a float, every law raises NumericError instead of returning inf/nan.
+Both brackets are entire in x, so the oscillatory (x > 0) and growing (x < 0)
+branches are one expression continued across zero, and a short even series
+bridges the window around x = 0.  At κ = Δ = 0 it is sinh²(ΓL).
+:func:`closed_form_batch` evaluates the law over stacks of cells and never
+raises; the scalar laws are one cell of it and raise NumericError where the
+result is not finite.  The strong-coupling and large-mismatch envelopes are
+bounded sine oscillations.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .params import CouplerParams, DomainError, NumericError, require_finite as _require
+import numpy as np
+
+from .params import CouplerParams, DomainError, NumericError, valid_cells
 
 #: Branch tags reported by the closed-form laws.
 BRANCH_TRIG = "trigonometric"
@@ -47,125 +49,91 @@ def _unrepresentable(law: str) -> NumericError:
     return NumericError(f"{law}: rate*length is beyond the representable range")
 
 
-def _finite(law: str, value: float) -> float:
-    """``value`` if it is finite, else NumericError (an inf or nan of overflowed terms)."""
-    if not math.isfinite(value):
+def covered(kappa, delta):
+    """Where the closed form covers a cell: κΔ = 0, i.e. κ = 0 or Δ = 0."""
+    return (kappa == 0.0) | (delta == 0.0)
+
+
+def closed_form_batch(gamma, kappa, delta, length):
+    """The closed-form law over the broadcast (Γ, κ, Δ, L) arrays.
+
+    Returns ``(n_s, n_i, n_b, branch, ok)``.  The branch is "threshold" where
+    |x| <= BRANCH_WINDOW·Γ² (there the even series is used), else
+    "trigonometric" for x > 0 and "hyperbolic" for x < 0.  A cell that is
+    invalid (:func:`params.valid_cells`), is not :func:`covered` or whose
+    occupations are not finite gets ``ok = False``, NaN occupations and the
+    branch ""; nothing raises or warns.
+    """
+    g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
+    ok &= covered(k, d)
+    # Rates times 2^-e and L times 2^e, with 2^e just above the largest rate: the
+    # law depends only on ΓL, κL, ΔL, the scaling is exact, and no squared rate overflows.
+    e = np.frexp(np.maximum(np.maximum(g, k), np.abs(d)))[1]
+    with np.errstate(all="ignore"):
+        g, k, d, t = np.ldexp(g, -e), np.ldexp(k, -e), np.ldexp(d, -e), np.ldexp(t, e)
+        r = k + 0.5 * np.abs(d)  # √(κ² + Δ²/4), as κΔ = 0
+        x = (r - g) * (r + g)
+        threshold = np.abs(x) <= BRANCH_WINDOW * g * g
+        trig = (x > 0.0) & ~threshold
+        q = np.sqrt(np.abs(x))
+        u = x * t * t
+        # sin(√x L)/√x and (1 - cos √x L)/x = 2 sin²(√x L/2)/x, continued to sinh for
+        # x < 0; the half-angle form loses no precision at small arguments.
+        sin_ratio = np.where(
+            threshold,
+            t * (1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0),
+            np.where(trig, np.sin(q * t), np.sinh(q * t)) / q,
+        )
+        half = np.where(trig, np.sin(0.5 * q * t), np.sinh(0.5 * q * t))
+        versine = np.where(
+            threshold,
+            t * t * (0.5 - u / 24.0 + u * u / 720.0 - u * u * u / 40320.0),
+            2.0 * half * half / np.abs(x),
+        )
+        n_i = (g * sin_ratio) ** 2
+        n_b = (k * g * versine) ** 2
+        n_s = n_i + n_b
+    ok &= np.isfinite(n_s)
+    n_s, n_i, n_b = (np.where(ok, n, np.nan) for n in (n_s, n_i, n_b))
+    tags = np.where(threshold, BRANCH_THRESHOLD, np.where(trig, BRANCH_TRIG, BRANCH_HYPERBOLIC))
+    branch = np.where(ok, tags, "")
+    return n_s, n_i, n_b, branch, ok
+
+
+def _cell(law: str, p: CouplerParams) -> ClosedFormResult:
+    """One cell of :func:`closed_form_batch`, or NumericError naming ``law``."""
+    n_s, n_i, n_b, branch, ok = closed_form_batch(p.gamma, p.kappa, p.delta, p.length)
+    if not ok:
         raise _unrepresentable(law)
-    return value
-
-
-def _branch(x: float, gamma: float) -> str:
-    """Branch at the squared rate x: threshold within BRANCH_WINDOW·Γ² of 0, else by sign."""
-    if abs(x) <= BRANCH_WINDOW * gamma * gamma:
-        return BRANCH_THRESHOLD
-    return BRANCH_TRIG if x > 0.0 else BRANCH_HYPERBOLIC
-
-
-def _sin_ratio(x: float, length: float, branch: str) -> float:
-    """sin(√x L)/√x for x > 0, continued to sinh(√-x L)/√-x for x < 0.
-
-    On the threshold branch a four-term even series around x = 0.
-    """
-    if branch == BRANCH_TRIG:
-        r = math.sqrt(x)
-        return math.sin(r * length) / r
-    if branch == BRANCH_HYPERBOLIC:
-        r = math.sqrt(-x)
-        return math.sinh(r * length) / r
-    u = x * length * length
-    return length * (1.0 - u / 6.0 + u * u / 120.0 - u * u * u / 5040.0)
-
-
-def _versine_ratio(x: float, length: float, branch: str) -> float:
-    """(1 - cos(√x L))/x continued across x = 0, evaluated cancellation-free.
-
-    Uses 1 - cos θ = 2 sin²(θ/2) (and cosh θ - 1 = 2 sinh²(θ/2) for x < 0),
-    so small arguments lose no precision; on the threshold branch a four-term
-    even series around x = 0.
-    """
-    if branch == BRANCH_TRIG:
-        s = math.sin(0.5 * math.sqrt(x) * length)
-        return 2.0 * s * s / x
-    if branch == BRANCH_HYPERBOLIC:
-        s = math.sinh(0.5 * math.sqrt(-x) * length)
-        return 2.0 * s * s / (-x)
-    u = x * length * length
-    return length * length * (0.5 - u / 24.0 + u * u / 720.0 - u * u * u / 40320.0)
+    return ClosedFormResult(float(n_s), float(n_i), float(n_b), str(branch))
 
 
 def n_s_matched(gamma: float, length: float) -> float:
-    """Matched unprobed growth: n_s = sinh²(ΓL)."""
-    gamma = _require("gamma", gamma)
-    length = _require("length", length)
-    try:
-        n_s = math.sinh(gamma * length) ** 2
-    except OverflowError as exc:
-        raise _unrepresentable("matched unprobed law") from exc
-    return _finite("matched unprobed law", n_s)
+    """Matched unprobed growth (κ = Δ = 0): n_s = sinh²(ΓL)."""
+    return _cell("matched unprobed law", CouplerParams(gamma, 0.0, 0.0, length)).n_s
 
 
 def coupled_matched_occupations(gamma: float, kappa: float, length: float) -> ClosedFormResult:
-    """All three occupations for the matched probed coupler (Δ = 0).
+    """All three occupations for the matched probed coupler (Δ = 0), where x = κ² - Γ².
 
-    With χ² = κ² - Γ²,
-
-        n_i = Γ² [sin(χL)/χ]²,   n_b = κ²Γ² [(1 - cos χL)/χ²]²,
-
-    and n_s = n_i + n_b; both brackets are entire in χ², so κ < Γ follows by
-    substituting the hyperbolic counterparts.  Inside the window
-    |κ² - Γ²| <= BRANCH_WINDOW·Γ² the even series is used and the branch is
-    tagged "threshold" (at κ = Γ exactly: n_s = Γ²L² + Γ⁴L⁴/4).
+    At the threshold κ = Γ: n_s = Γ²L² + Γ⁴L⁴/4.
     """
-    gamma = _require("gamma", gamma)
-    kappa = _require("kappa", kappa)
-    length = _require("length", length)
-    law = "matched probed law"
-    try:
-        x = (kappa - gamma) * (kappa + gamma)
-        branch = _branch(x, gamma)
-        n_i = (gamma * _sin_ratio(x, length, branch)) ** 2
-        n_b = (kappa * gamma * _versine_ratio(x, length, branch)) ** 2
-    except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
-        raise _unrepresentable(law) from exc
-    return ClosedFormResult(_finite(law, n_i + n_b), n_i, n_b, branch)
+    return _cell("matched probed law", CouplerParams(gamma, kappa, 0.0, length))
 
 
 def n_s_mismatched_uncoupled(gamma: float, delta: float, length: float) -> ClosedFormResult:
-    """Unprobed mismatched law: n_s = Γ² sinh²(gL)/g² with g² = Γ² - Δ²/4.
-
-    The idler mirrors the signal (n_i = n_s) and the probe stays empty.  For
-    Δ²/4 > Γ² the continuation oscillates (trigonometric branch); the window
-    |Γ² - Δ²/4| <= BRANCH_WINDOW·Γ² uses the series and is tagged "threshold".
-    """
-    gamma = _require("gamma", gamma)
-    delta = _require("delta", delta, nonnegative=False)
-    length = _require("length", length)
-    law = "mismatched unprobed law"
-    # x > 0 is the oscillatory side of sin(√x L)/√x, i.e. Δ²/4 > Γ².
-    try:
-        x = 0.25 * delta * delta - gamma * gamma
-        branch = _branch(x, gamma)
-        n_s = (gamma * _sin_ratio(x, length, branch)) ** 2
-    except (OverflowError, ValueError) as exc:  # math.sinh overflow, math.sin(inf)
-        raise _unrepresentable(law) from exc
-    n_s = _finite(law, n_s)
-    return ClosedFormResult(n_s, n_s, 0.0, branch)
+    """Unprobed mismatched law (κ = 0, x = Δ²/4 - Γ²): n_i = n_s and the probe stays empty."""
+    return _cell("mismatched unprobed law", CouplerParams(gamma, 0.0, delta, length))
 
 
 def closed_form_occupations(params: CouplerParams) -> ClosedFormResult:
-    """The result of the closed form that covers ``params``.
-
-    Δ = 0 takes the matched probed law, else κ = 0 the mismatched unprobed
-    law; any other point raises DomainError.
-    """
-    if params.delta == 0.0:
-        return coupled_matched_occupations(params.gamma, params.kappa, params.length)
-    if params.kappa == 0.0:
-        return n_s_mismatched_uncoupled(params.gamma, params.delta, params.length)
-    raise DomainError(
-        "closed-form engine requires delta = 0 or kappa = 0; "
-        "use --engine exact (or ode) for the general case"
-    )
+    """The closed-form result for ``params``, or DomainError where it is not :func:`covered`."""
+    if not covered(params.kappa, params.delta):
+        raise DomainError(
+            "closed-form engine requires delta = 0 or kappa = 0; "
+            "use --engine exact (or ode) for the general case"
+        )
+    return _cell("matched probed law" if params.delta == 0.0 else "mismatched unprobed law", params)
 
 
 def n_s_strong_coupling_asymptote(gamma: float, kappa: float, length: float) -> float:
@@ -174,28 +142,24 @@ def n_s_strong_coupling_asymptote(gamma: float, kappa: float, length: float) -> 
     Valid for κ >> Γ; the prefactor 4Γ²/κ² bounds the conversion, which is
     the freezing (Zeno-like) suppression of pair production.
     """
-    gamma = _require("gamma", gamma)
-    kappa = _require("kappa", kappa)
-    length = _require("length", length)
-    if kappa == 0.0:
+    p = CouplerParams(gamma, kappa, 0.0, length)
+    if p.kappa == 0.0:
         raise DomainError("strong-coupling envelope is undefined at kappa = 0")
-    return _envelope("strong-coupling envelope", gamma, kappa, length)
+    return _envelope("strong-coupling envelope", p.gamma, p.kappa, p.length)
 
 
 def n_s_large_mismatch_asymptote(gamma: float, delta: float, length: float) -> float:
     """Unprobed large-mismatch envelope: n_s -> (4Γ²/Δ²) sin²(ΔL/2) for |Δ| >> Γ."""
-    gamma = _require("gamma", gamma)
-    delta = _require("delta", delta, nonnegative=False)
-    length = _require("length", length)
-    if delta == 0.0:
+    p = CouplerParams(gamma, 0.0, delta, length)
+    if p.delta == 0.0:
         raise DomainError("large-mismatch envelope is undefined at delta = 0")
-    return _envelope("large-mismatch envelope", gamma, delta, length)
+    return _envelope("large-mismatch envelope", p.gamma, p.delta, p.length)
 
 
 def _envelope(law: str, gamma: float, rate: float, length: float) -> float:
     """(4Γ²/rate²) sin²(rate·L/2), or NumericError where rate·L or the prefactor overflows."""
-    try:
-        value = (2.0 * gamma / rate * math.sin(0.5 * rate * length)) ** 2
-    except (OverflowError, ValueError) as exc:  # math.sin(inf), float ** 2 overflow
-        raise _unrepresentable(law) from exc
-    return _finite(law, value)
+    with np.errstate(all="ignore"):
+        value = float((2.0 * gamma / rate * np.sin(0.5 * rate * length)) ** 2)
+    if not math.isfinite(value):  # an inf or nan of overflowed terms
+        raise _unrepresentable(law)
+    return value

@@ -41,6 +41,7 @@ from .params import (
     IntegrationError,
     InvalidParameterError,
     NumericError,
+    valid_cells,
 )
 
 #: Mode order used by every map in this package: signal, idler, probe.
@@ -237,31 +238,17 @@ def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> B
     return BogoliubovMap(u_block=u, v_block=v, params=params, modes=modes)
 
 
-def _real_array(name: str, values) -> NDArray[np.float64]:
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":  # bools, complex, strings, objects
-        raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
-    return array.astype(np.float64)
-
-
 def propagate_batch(gamma, kappa, delta, length):
     """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
 
     Returns ``(u, v, ok)``: the stacked Bogoliubov blocks, shape
     ``broadcast + (3, 3)``, and a boolean mask of that broadcast shape.  A cell
-    is valid when, as :class:`CouplerParams` requires, its four values are
-    finite and Γ, κ, L >= 0.  An invalid cell, or one whose exponential or
-    vacuum occupations are not finite, gets ``ok = False`` and NaN blocks;
-    nothing is raised for it.  :func:`propagate_exact` is one cell of it.
+    that :func:`params.valid_cells` rejects, or whose exponential or vacuum
+    occupations are not finite, gets ``ok = False`` and NaN blocks; nothing is
+    raised for it.  :func:`propagate_exact` is one cell of it.
     """
-    g, k, d, t = np.broadcast_arrays(*(
-        _real_array(name, x)
-        for name, x in (("gamma", gamma), ("kappa", kappa), ("delta", delta), ("length", length))
-    ))
-    ok = np.isfinite(g) & np.isfinite(k) & np.isfinite(d) & np.isfinite(t)
-    ok &= (g >= 0.0) & (k >= 0.0) & (t >= 0.0)
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
-    g, k, d, t = (np.where(ok, x, 0.0) for x in (g, k, d, t))
+    g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
     with np.errstate(over="ignore"):
         angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
     u, v, finite = propagate_step(_generators(g, k, d), angles, t)

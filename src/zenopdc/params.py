@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 
 class CouplerError(Exception):
     """Base class for every error raised by this package."""
@@ -61,6 +63,38 @@ def require_finite(name: str, value: float, nonnegative: bool = True) -> float:
     if nonnegative and value < 0.0:
         raise InvalidParameterError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def require_allocatable(what: str, count: int, dtype) -> int:
+    """``count`` if ``count`` items of ``dtype`` fit numpy's array size limit, else raise."""
+    limit = np.iinfo(np.intp).max // np.dtype(dtype).itemsize
+    if count > limit:
+        raise InvalidParameterError(f"{what} {count} exceeds numpy's array size limit of {limit}")
+    return count
+
+
+def valid_cells(gamma, kappa, delta, length):
+    """Broadcast (Γ, κ, Δ, L) to float64 and mask the cells :class:`CouplerParams` accepts.
+
+    Returns ``(g, k, d, t, ok)``: a cell is valid when its four values are
+    finite and Γ, κ, L >= 0.  Invalid cells are zeroed, so every stacked path
+    can compute on all cells and blank the invalid ones after.  A non-numeric
+    or bool dtype raises InvalidParameterError.
+    """
+    cells = []
+    for name, values in zip(_FIELD_NAMES, (gamma, kappa, delta, length)):
+        array = np.asarray(values)
+        if array.dtype.kind not in "iuf":  # bools, complex, strings, objects
+            raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
+        cells.append(array.astype(np.float64))
+    cells = np.broadcast_arrays(*cells)
+    ok = np.ones(cells[0].shape, dtype=bool)
+    for name, x in zip(_FIELD_NAMES, cells):
+        ok &= np.isfinite(x)
+        if name in _NONNEGATIVE:
+            ok &= x >= 0.0
+    g, k, d, t = (np.where(ok, x, 0.0) for x in cells)
+    return g, k, d, t, ok
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,35 @@ def test_invalid_parameter_exits_2():
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
+def test_closed_form_engine_takes_rates_whose_squares_overflow():
+    proc = run("simulate", "--engine", "closed-form", "--gamma", "1e200", "--delta", "3e200",
+               "--length", "1e-200")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_s"] == pytest.approx(0.6469, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sweep"], {"axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2**61},
+                     "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}}),
+        (["sweep"], {"axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2**31},
+                     "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2**31}}),
+        (["ridge", "--delta", f"3:10:{2**61}"], None),
+    ],
+    ids=["sweep-axis-2**61", "sweep-2**31-squared", "ridge-2**61-deltas"],
+)
+def test_unallocatable_sizes_exit_2(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert "array size limit" in proc.stderr
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"gamma": 0.5, "gammma": 1.0}))

@@ -24,7 +24,7 @@ from zenopdc import (
     propagate_exact,
     vacuum_occupations,
 )
-from zenopdc.closed_forms import BRANCH_WINDOW, closed_form_occupations
+from zenopdc.closed_forms import BRANCH_WINDOW, closed_form_batch, closed_form_occupations
 
 _finite = lambda lo, hi: st.floats(  # noqa: E731
     min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False
@@ -262,12 +262,52 @@ def test_asymptote_domain_errors():
         (n_s_strong_coupling_asymptote, (0.5, 1e200, 1e200)),  # math.sin(inf)
         (n_s_large_mismatch_asymptote, (0.5, 1e200, 1e200)),
         (n_s_large_mismatch_asymptote, (1e300, 1e-300, 1.0)),  # prefactor overflows
-        (n_s_mismatched_uncoupled, (1e200, 3e200, 1e-200)),  # Δ²/4 - Γ² = inf - inf
+        (n_s_mismatched_uncoupled, (1e200, 3e200, 1e200)),  # ΔL overflows: sin(inf)
     ],
 )
 def test_laws_beyond_float_range_raise_numeric_error(law, args):
     with pytest.raises(NumericError):
         law(*args)
+
+
+def test_laws_hold_at_rates_whose_squares_overflow():
+    # Only ΓL, κL and ΔL matter, so rates of 1e200 over L = 1e-200 are the unit cell.
+    unit = n_s_mismatched_uncoupled(1.0, 3.0, 1.0)
+    assert unit.n_s == pytest.approx(0.6469, abs=1e-4)
+    big = n_s_mismatched_uncoupled(1e200, 3e200, 1e-200)
+    assert big.n_s == pytest.approx(unit.n_s, rel=1e-12) and big.branch == unit.branch
+    unit = coupled_matched_occupations(1.0, 1.0, 1.0)
+    big = coupled_matched_occupations(1e200, 1e200, 1e-200)
+    assert big.branch == unit.branch == BRANCH_THRESHOLD
+    for got, want in zip(big[:3], unit[:3]):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_batch_is_bitwise_the_one_cell_results():
+    cells = [
+        (0.5, 1.0, 0.0, 1.0),  # trigonometric
+        (0.5, 0.2, 0.0, 1.0),  # hyperbolic
+        (0.5, 0.5, 0.0, 1.0),  # threshold: κ = Γ
+        (0.5, 0.0, 1.0, 1.0),  # threshold: |Δ| = 2Γ
+        (0.5, 0.0, -5.0, 2.0),
+        (0.5, 3.0, 0.0, 0.0),  # L = 0
+        (0.0, 0.0, 0.0, 1.5),
+        (400.0, 0.0, 0.0, 2.5),  # sinh overflows
+        (0.5, -1.0, 0.0, 1.0),  # invalid: κ < 0
+        (math.nan, 0.0, 0.0, 1.0),  # invalid: NaN
+        (0.5, 2.0, 3.0, 1.0),  # off the domain: κΔ != 0
+    ]
+    n_s, n_i, n_b, branch, ok = closed_form_batch(*np.array(cells).T)
+    assert ok.tolist() == [True] * 7 + [False] * 4
+    for i, cell in enumerate(cells):
+        one = closed_form_batch(*cell)
+        assert np.array_equal([n_s[i], n_i[i], n_b[i]], one[:3], equal_nan=True)
+        assert (branch[i], ok[i]) == (one[3], one[4])
+        if ok[i]:
+            assert tuple(closed_form_occupations(CouplerParams(*cell))) == (
+                n_s[i], n_i[i], n_b[i], branch[i]
+            )
+    assert branch[~ok].tolist() == [""] * 4 and np.isnan(n_s[~ok]).all()
 
 
 def test_invalid_inputs():

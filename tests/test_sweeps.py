@@ -1,6 +1,8 @@
 """Grid sweeps and ridge tracking: determinism, provenance, failures."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from zenopdc import (
 )
 from zenopdc.closed_forms import closed_form_occupations, n_s_mismatched_uncoupled
 from zenopdc.dynamics import occupation_numbers, propagate_batch, propagate_exact, vacuum_occupations
+from zenopdc import sweeps
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
 
 
@@ -153,9 +156,20 @@ def _cell_by_cell(spec):
     return values, provenance
 
 
-@pytest.mark.parametrize("engine", [ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE])
-def test_row_batches_match_the_cell_by_cell_sweep(engine):
-    # kappa < 0 rows are invalid, gamma >= 200 at L = 2.5 overflows, the rest is valid
+@pytest.mark.parametrize(
+    "engine, chunk",
+    [
+        pytest.param(ENGINE_NUMERIC, None, id=ENGINE_NUMERIC),
+        pytest.param(ENGINE_CLOSED_WHEN_APPLICABLE, None, id=ENGINE_CLOSED_WHEN_APPLICABLE),
+        pytest.param(ENGINE_NUMERIC, 4, id=f"{ENGINE_NUMERIC}-chunk4"),
+        pytest.param(ENGINE_CLOSED_WHEN_APPLICABLE, 4, id=f"{ENGINE_CLOSED_WHEN_APPLICABLE}-chunk4"),
+    ],
+)
+def test_row_batches_match_the_cell_by_cell_sweep(engine, chunk, monkeypatch):
+    # kappa < 0 rows are invalid, gamma >= 200 at L = 2.5 overflows, the rest is valid;
+    # chunks of 4 cells straddle the rows of 3
+    if chunk is not None:
+        monkeypatch.setattr(sweeps, "_CHUNK", chunk)
     spec = SweepSpec(
         fixed=CouplerParams(0.5, 0.0, 1.0, 2.5),
         axis1=_axis("kappa", -1.0, 3.0, 5),
@@ -170,6 +184,25 @@ def test_row_batches_match_the_cell_by_cell_sweep(engine):
     assert set(provenance[0]) == {TAG_FAILED}  # kappa = -1
     assert set(provenance[1:, 1:].ravel()) == {TAG_FAILED}  # gamma = 200.5, 400.5
     assert TAG_FAILED not in provenance[1:, 0]
+
+
+def test_sweep_memory_does_not_grow_with_the_row():
+    # One axis-1 row of 200 000 cells: chunked, the stacked work stays a few MiB, and the
+    # growth is the values and provenance grids (≈29 MiB); one stack per row took ≈310 MiB.
+    code = """
+import resource
+from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
+spec = SweepSpec(fixed=CouplerParams(0.5, 0.0, 1.0, 1.5), axis1=SweepAxis("gamma", 0.1, 0.5, 2),
+                 axis2=SweepAxis("kappa", 0.0, 10.0, 200_000))
+sweep_2d(SweepSpec(spec.fixed, spec.axis1, SweepAxis("kappa", 0.0, 10.0, 2)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+grid = sweep_2d(spec)
+assert grid.failures == 0
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 120.0  # MiB
 
 
 def test_max_signal_over_length_raises_on_overflow():
