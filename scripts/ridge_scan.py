@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from zenopdc import find_anti_zeno_ridge, propagate_batch, ridge_linearity
-from zenopdc.dynamics import occupation_numbers, require_ok
+from zenopdc.dynamics import occupation_numbers
+from zenopdc.params import require_ok
 
 
 def main() -> int:

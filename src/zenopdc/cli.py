@@ -11,9 +11,10 @@ dressed-check take only JSON.  All artifacts are byte-deterministic.
 neither the work nor the output, because sweeps run serially.
 
 Exit codes: 0 success; 2 invalid parameters/config/range (including an
-unreadable config file, a JSON boolean where a number belongs and a grid or
-range too large to allocate) or an unwritable ``--out`` (a missing directory
-is caught before any work); 3 engine-parameter mismatch (closed-form engine off its domain,
+unreadable config file, a JSON boolean, a JSON string or an integer beyond
+float64 where a number belongs, and a grid or range too large to allocate) or
+an unwritable ``--out`` (a missing directory is caught before any work);
+3 engine-parameter mismatch (closed-form engine off its domain,
 classification at kappa = 0); 4 sweep finished but some cells failed;
 5 dressed-frame cross-check exceeded its tolerance.
 """
@@ -39,7 +40,7 @@ from .dynamics import (
     vacuum_occupations,
 )
 from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError
-from .params import require_allocatable, require_finite
+from .params import require_allocatable, require_count, require_finite
 from .regimes import classify_regime
 from .sweeps import (
     ENGINE_NUMERIC,
@@ -265,10 +266,8 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | Non
     seed = _resolve(args, config, "seed", None)
     if seed is None:
         params = _merge_params(args, config)
-    elif isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_count("seed", seed, 0))
         params = CouplerParams(
             gamma=rng.uniform(0.05, 1.5),
             kappa=rng.uniform(0.0, 10.0),
@@ -313,8 +312,9 @@ def _parse_deltas(spec: str) -> list[float]:
     if len(numbers) == 1:
         return numbers
     lo, hi, count = numbers
-    if count < 1 or not lo < hi:
-        raise InvalidParameterError(f"bad delta range {spec!r}: need min < max and count >= 1")
+    if not lo < hi:
+        raise InvalidParameterError(f"bad delta range {spec!r}: need min < max")
+    require_count("delta range count", count, 1)
     require_allocatable("delta range count", count, np.float64)
     require_finite("delta range max - min", hi - lo)  # also rejects an infinite end
     return [float(x) for x in np.linspace(lo, hi, count)]

@@ -18,12 +18,11 @@ bounded sine oscillations.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .params import CouplerParams, DomainError, NumericError, valid_cells
+from .params import CouplerParams, DomainError, require_ok, valid_cells
 
 #: Branch tags reported by the closed-form laws.
 BRANCH_TRIG = "trigonometric"
@@ -43,10 +42,6 @@ class ClosedFormResult(NamedTuple):
     n_i: float
     n_b: float
     branch: str
-
-
-def _unrepresentable(law: str) -> NumericError:
-    return NumericError(f"{law}: rate*length is beyond the representable range")
 
 
 def covered(kappa, delta):
@@ -103,8 +98,7 @@ def closed_form_batch(gamma, kappa, delta, length):
 def _cell(law: str, p: CouplerParams) -> ClosedFormResult:
     """One cell of :func:`closed_form_batch`, or NumericError naming ``law``."""
     n_s, n_i, n_b, branch, ok = closed_form_batch(p.gamma, p.kappa, p.delta, p.length)
-    if not ok:
-        raise _unrepresentable(law)
+    require_ok(ok, law)
     return ClosedFormResult(float(n_s), float(n_i), float(n_b), str(branch))
 
 
@@ -160,6 +154,5 @@ def _envelope(law: str, gamma: float, rate: float, length: float) -> float:
     """(4Γ²/rate²) sin²(rate·L/2), or NumericError where rate·L or the prefactor overflows."""
     with np.errstate(all="ignore"):
         value = float((2.0 * gamma / rate * np.sin(0.5 * rate * length)) ** 2)
-    if not math.isfinite(value):  # an inf or nan of overflowed terms
-        raise _unrepresentable(law)
+    require_ok(np.isfinite(value), law)  # an inf or nan of overflowed terms
     return value

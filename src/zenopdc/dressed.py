@@ -28,9 +28,9 @@ from .dynamics import (
     frozen_map,
     occupation_numbers,
     propagate_step,
-    require_ok,
 )
-from .params import CouplerParams, DomainError, require_finite as _require
+from .params import CouplerParams, DomainError, InvalidParameterError, require_ok, valid_cells
+from .params import require_finite as _require
 
 #: Mode order of the dressed-basis maps: signal, symmetric, antisymmetric.
 DRESSED_MODES = ("s", "c", "d")
@@ -134,9 +134,11 @@ def resonant_vs_qpm(
     """
     gamma = _require("gamma", gamma)
     delta = _require("delta", delta, nonnegative=False)
-    ls = np.array([_require("length", L) for L in np.asarray(lengths, dtype=np.float64)])
+    *_, ls, ok = valid_cells(gamma, 0.0, delta, lengths)
+    if not np.all(ok):
+        raise InvalidParameterError(f"lengths must be finite and >= 0, got {lengths!r}")
     _, v = _dressed_blocks(gamma, abs(delta), delta, ls)
-    resonant = occupation_numbers(v)[:, 0]
+    resonant = occupation_numbers(v)[..., 0]
     return {
         "lengths": ls,
         "resonant": resonant,

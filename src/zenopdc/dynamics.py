@@ -18,7 +18,7 @@ Every exact route is one :func:`propagate_step`: generators, per-row frame
 phases and lengths in, one call of :func:`expm_i` (the package's one
 matrix-exponential kernel), ``(u, v, ok)`` out, where ``ok`` is the one
 finiteness rule (finite transfer matrix and vacuum occupations).
-:func:`require_ok` raises on a failed mask and :func:`frozen_map` builds every
+:func:`params.require_ok` raises on a failed mask and :func:`frozen_map` builds every
 :class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
 it, and ``dressed`` runs its own frame through the same step.
@@ -40,7 +40,7 @@ from .params import (
     CouplerParams,
     IntegrationError,
     InvalidParameterError,
-    NumericError,
+    require_ok,
     valid_cells,
 )
 
@@ -222,15 +222,6 @@ def propagate_step(m: NDArray[np.float64], angles, length):
     return u, v, ok
 
 
-def require_ok(ok, what: str) -> None:
-    """Raise NumericError naming ``what`` unless every cell of the ``ok`` mask is set."""
-    if not np.all(ok):
-        raise NumericError(
-            f"{what}: {np.count_nonzero(~np.asarray(ok))} of {np.size(ok)} propagations are "
-            "not finite; rate*length is beyond the representable range"
-        )
-
-
 def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
     """Write-protect the (U, V) blocks in place and wrap them as a :class:`BogoliubovMap`."""
     u.setflags(write=False)
@@ -372,11 +363,7 @@ def vacuum_occupations(bmap: BogoliubovMap) -> ModeOccupations:
     than returned as inf.
     """
     n = occupation_numbers(bmap.v_block)
-    if not np.all(np.isfinite(n)):
-        raise NumericError(
-            "vacuum occupations overflow float64; gain*length is beyond the "
-            "representable range"
-        )
+    require_ok(np.isfinite(n), "vacuum occupations")
     return ModeOccupations(*map(float, n))
 
 

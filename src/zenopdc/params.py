@@ -1,10 +1,14 @@
-"""Physical parameters and error types shared by all modules.
+"""Physical parameters, error types and the three input and failure rules.
 
 The device under study is a three-mode bosonic coupler: a strong classical
 pump drives signal/idler pair production with nonlinear gain ``gamma`` and
 phase mismatch ``delta``, while the idler exchanges photons with an auxiliary
 probe mode at linear coupling rate ``kappa``.  All three rates carry units of
 inverse length; ``length`` is the interaction length.
+
+A number is a finite real, and >= 0 for Γ, κ and L (:func:`require_finite`,
+:func:`valid_cells`); a count is an int, not a bool, at or above its minimum
+(:func:`require_count`); a non-finite result raises NumericError (:func:`require_ok`).
 """
 
 from __future__ import annotations
@@ -47,22 +51,49 @@ _FIELD_NAMES = ("gamma", "kappa", "delta", "length")
 _NONNEGATIVE = ("gamma", "kappa", "length")
 
 
-def require_finite(name: str, value: float, nonnegative: bool = True) -> float:
-    """Coerce ``value`` to a finite float, optionally >= 0, or raise.
+def _real(name: str, values, nonnegative: bool):
+    """``values`` as float64 plus the mask of its finite (and, if asked, >= 0) entries.
 
-    A bool is rejected: ``true`` in a config is malformed, not the rate 1.0.
+    A bool (``true`` in a config is malformed, not the rate 1.0), a string, a
+    complex value, None, a ragged sequence or an integer of 2**64 or more raises.
     """
-    if isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    if nonnegative and value < 0.0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+        array = np.asarray(values)
+    except ValueError as exc:  # a ragged sequence
+        raise InvalidParameterError(f"{name} takes only real numbers, got {values!r}") from exc
+    if array.dtype.kind not in "iuf":
+        got = repr(values) if array.ndim == 0 else f"dtype {array.dtype}"
+        raise InvalidParameterError(f"{name} takes only real numbers, got {got}")
+    x = array.astype(np.float64)
+    ok = np.isfinite(x)
+    if nonnegative:
+        ok &= x >= 0.0
+    return x, ok
+
+
+def require_finite(name: str, value, nonnegative: bool = True) -> float:
+    """``value`` as a float if it is one finite real number, optionally >= 0, else raise."""
+    x, ok = _real(name, value, nonnegative)
+    if x.ndim or not ok:
+        rule = "finite number >= 0" if nonnegative else "finite number"
+        raise InvalidParameterError(f"{name} must be one {rule}, got {value!r}")
+    return float(x)
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` if it is an int, not a bool, and >= ``minimum``, else raise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def require_ok(ok, what: str) -> None:
+    """Raise NumericError naming ``what`` unless every entry of the ``ok`` mask is set."""
+    if not np.all(ok):
+        raise NumericError(
+            f"{what}: {np.count_nonzero(~np.asarray(ok))} of {np.size(ok)} values are not "
+            "finite; the rates or rate*length are beyond the representable range"
+        )
 
 
 def require_allocatable(what: str, count: int, dtype) -> int:
@@ -78,22 +109,17 @@ def valid_cells(gamma, kappa, delta, length):
 
     Returns ``(g, k, d, t, ok)``: a cell is valid when its four values are
     finite and Γ, κ, L >= 0.  Invalid cells are zeroed, so every stacked path
-    can compute on all cells and blank the invalid ones after.  A non-numeric
-    or bool dtype raises InvalidParameterError.
+    can compute on all cells and blank the invalid ones after.  Values that are
+    not real numbers raise InvalidParameterError, as in :func:`require_finite`.
     """
-    cells = []
-    for name, values in zip(_FIELD_NAMES, (gamma, kappa, delta, length)):
-        array = np.asarray(values)
-        if array.dtype.kind not in "iuf":  # bools, complex, strings, objects
-            raise InvalidParameterError(f"{name} must be real numbers, got dtype {array.dtype}")
-        cells.append(array.astype(np.float64))
-    cells = np.broadcast_arrays(*cells)
-    ok = np.ones(cells[0].shape, dtype=bool)
-    for name, x in zip(_FIELD_NAMES, cells):
-        ok &= np.isfinite(x)
-        if name in _NONNEGATIVE:
-            ok &= x >= 0.0
-    g, k, d, t = (np.where(ok, x, 0.0) for x in cells)
+    fields = [
+        _real(name, values, name in _NONNEGATIVE)
+        for name, values in zip(_FIELD_NAMES, (gamma, kappa, delta, length))
+    ]
+    ok = np.ones(np.broadcast_shapes(*(x.shape for x, _ in fields)), dtype=bool)
+    for _, valid in fields:
+        ok &= valid
+    g, k, d, t = (np.where(ok, x, 0.0) for x, _ in fields)
     return g, k, d, t, ok
 
 

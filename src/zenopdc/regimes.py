@@ -28,8 +28,8 @@ from .params import (
     BoundaryNotFoundError,
     CouplerParams,
     DomainError,
-    NumericError,
     require_finite as _require,
+    require_ok,
 )
 
 REGIME_OSCILLATORY = "oscillatory"
@@ -128,10 +128,7 @@ def regime_boundaries(gamma: float, delta: float) -> tuple[float, float]:
     split = math.sqrt(8.0) * abs(delta) * gamma
     if split == 0.0:
         raise DomainError("no hyperbolic window at gamma*delta = 0: the boundary pair coincides")
-    if not math.isfinite(base + split):
-        raise NumericError(
-            f"weak-gain boundaries overflow float64 at gamma={gamma!r}, delta={delta!r}"
-        )
+    require_ok(math.isfinite(base + split), f"weak-gain boundaries at gamma={gamma}, delta={delta}")
     inner = base - split
     if inner < 0.0:
         raise DomainError(
@@ -252,11 +249,8 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
         disc = cubic_discriminant(coeffs)
     except OverflowError:  # float ** raises where * would give inf
         disc = math.inf
-    if not all(map(math.isfinite, (coeffs.c2, coeffs.c1, coeffs.c0, disc))):
-        raise NumericError(
-            f"the frequency cubic overflows float64 at gamma={params.gamma!r}, "
-            f"kappa={params.kappa!r}, delta={params.delta!r}; classify a rescaled point"
-        )
+    finite = [math.isfinite(c) for c in (coeffs.c2, coeffs.c1, coeffs.c0, disc)]
+    require_ok(finite, f"frequency cubic of {params} (classify a rescaled point)")
     r = max(params.gamma, params.kappa, abs(params.delta))
     unit = _cubic(params.gamma / r, params.kappa / r, params.delta / r)
     unit_disc = cubic_discriminant(unit)

@@ -23,13 +23,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_batch, covered
-from .dynamics import occupation_numbers, propagate_batch, require_ok
+from .dynamics import occupation_numbers, propagate_batch
 from .params import (
     CouplerParams,
     FlatLandscapeWarning,
     InvalidParameterError,
     require_allocatable,
+    require_count,
     require_finite as _require,
+    require_ok,
 )
 
 #: Parameter names a sweep axis may vary.
@@ -72,10 +74,7 @@ class SweepAxis:
             )
         object.__setattr__(self, "start", _require("start", self.start, nonnegative=False))
         object.__setattr__(self, "stop", _require("stop", self.stop, nonnegative=False))
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
-            raise InvalidParameterError(f"count must be an integer, got {self.count!r}")
-        if self.count < 2:
-            raise InvalidParameterError(f"count must be >= 2, got {self.count}")
+        require_count("count", self.count, 2)
         if not self.start < self.stop:
             raise InvalidParameterError(
                 f"axis needs start < stop, got [{self.start}, {self.stop}]"
@@ -143,8 +142,7 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     only slow it down.  A cell that is invalid or overflows is recorded as NaN
     with provenance "failed" and counted in ``failures``.
     """
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise InvalidParameterError(f"threads must be a positive integer, got {threads!r}")
+    require_count("threads", threads, 1)
     shape = (spec.axis1.count, spec.axis2.count)
     values = np.full(shape, np.nan)
     provenance = np.full(shape, TAG_FAILED, dtype=_PROVENANCE)
@@ -249,7 +247,7 @@ def max_signal_over_length(
         _require("gamma", gamma),
         _require("kappa", kappa),
         _require("delta", delta, nonnegative=False),
-        np.linspace(0.0, _require("length_max", length_max), samples),
+        np.linspace(0.0, _require("length_max", length_max), require_count("samples", samples, 1)),
     )
     require_ok(ok, "max_signal_over_length")
     return float(n_s.max())

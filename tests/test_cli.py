@@ -328,6 +328,14 @@ def test_ridge_bad_range_exits_2():
                                "axis1": {"name": "kappa", "start": 0, "stop": 1, "count": 2},
                                "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}},
                      id="sweep-tolerance-in-fixed"),
+        # an integer beyond float64, as json.dumps writes it, and quoted numbers
+        pytest.param("simulate", {"gamma": 10**400}, id="simulate-integer-beyond-float64"),
+        pytest.param("sweep", {"axis1": {"name": "kappa", "start": 0, "stop": 10**400, "count": 2},
+                               "axis2": {"name": "delta", "start": 0, "stop": 1, "count": 2}},
+                     id="sweep-integer-beyond-float64"),
+        pytest.param("ridge", {"deltas": [10**400]}, id="ridge-integer-beyond-float64"),
+        pytest.param("simulate", {"gamma": "0.5"}, id="simulate-quoted-number"),
+        pytest.param("simulate", {"length": "1_0"}, id="simulate-quoted-underscore-number"),
     ],
 )
 def test_malformed_config_values_exit_2(tmp_path, command, config):
@@ -426,6 +434,7 @@ _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 6),
+    st.just(10**400),
     st.floats(-6.0, 6.0),
     st.sampled_from([math.inf, -math.inf, math.nan]),
     st.text(st.characters(blacklist_characters="/"), max_size=4),

@@ -120,3 +120,13 @@ def test_dressed_route_raises_where_the_occupations_overflow(params):
 def test_resonant_vs_qpm_raises_where_the_occupations_overflow():
     with pytest.raises(NumericError):
         resonant_vs_qpm(200.0, 5.0, [2.5])
+
+
+def test_resonant_vs_qpm_keeps_the_shape_of_its_lengths():
+    flat = resonant_vs_qpm(0.5, 5.0, [1.0, 2.0])
+    grid = resonant_vs_qpm(0.5, 5.0, [[1.0, 2.0]])
+    one = resonant_vs_qpm(0.5, 5.0, 2.0)
+    for key, values in flat.items():
+        assert grid[key].shape == (1, 2) and one[key].shape == ()
+        np.testing.assert_array_equal(grid[key][0], values)
+        assert one[key] == values[1]

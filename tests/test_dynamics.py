@@ -1,5 +1,6 @@
 """Propagator core: generator, exact/ODE maps, invariants, composition."""
 
+import inspect
 import math
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from zenopdc import (
     build_generator,
     check_symplectic,
     compose,
+    dressed_bogoliubov_map,
     n_s_mismatched_uncoupled,
     propagate_batch,
     propagate_exact,
@@ -107,6 +109,9 @@ def test_compose_rejects_mismatched_couplers():
     b = propagate_exact(CouplerParams(0.6, 1.0, 0.0, 1.0))
     with pytest.raises(InvalidParameterError):
         compose(b, a)
+    p = CouplerParams(0.5, 1.0, 0.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="identical mode bases"):
+        compose(dressed_bogoliubov_map(p), propagate_exact(p))
 
 
 def test_ode_oracle_agrees_with_exact():
@@ -149,6 +154,38 @@ def test_stacked_ode_oracle_agrees_with_exact_in_every_cell():
         diff = max(float(np.max(np.abs(exact.u_block - u[i]))),
                    float(np.max(np.abs(exact.v_block - v[i]))))
         assert diff <= 1e-9 * scale, params
+
+
+def test_ode_oracle_rejects_steps_and_still_meets_its_contract():
+    # At (Γ, κ, Δ, L) = (10, 30, 30, 1) the step controller overshoots and must shrink
+    # its step; a line trace of _ode_transfer counts the runs of its rejection branch.
+    lines, first = inspect.getsourcelines(dynamics._ode_transfer)
+    branch = first + next(i for i, line in enumerate(lines) if "rejected = True" in line)
+    code, rejections = dynamics._ode_transfer.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "line" and frame.f_lineno == branch:
+                rejections.append(frame.f_lineno)
+            return on_line
+
+        return on_line
+
+    params = CouplerParams(10.0, 30.0, 30.0, 1.0)
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        ode = propagate_ode(params)
+    finally:
+        sys.settrace(previous)
+    assert rejections
+    exact = propagate_exact(params)
+    scale = max(1.0, np.abs(exact.u_block).max(), np.abs(exact.v_block).max())
+    diff = max(np.abs(exact.u_block - ode.u_block).max(), np.abs(exact.v_block - ode.v_block).max())
+    assert diff <= 1e-9 * scale  # the oracle's contract: 10x its tolerance of 1e-10
 
 
 def test_ode_oracle_raises_when_its_step_budget_runs_out(monkeypatch):

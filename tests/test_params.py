@@ -13,7 +13,9 @@ from zenopdc import (
     IntegrationError,
     InvalidParameterError,
     NumericError,
+    max_signal_over_length,
     require_finite,
+    resonant_vs_qpm,
 )
 
 
@@ -78,6 +80,16 @@ def test_require_finite():
         require_finite("x", -2)
     with pytest.raises(InvalidParameterError):
         require_finite("x", math.nan, nonnegative=False)
+
+
+def test_array_and_count_inputs_raise_invalid_parameter():
+    # a bool or a quoted number is not a length, and a sample count is an int >= 1
+    for lengths in ([True], ["1.5"]):
+        with pytest.raises(InvalidParameterError):
+            resonant_vs_qpm(0.5, 5.0, lengths)
+    for samples in (0, -3, 2.5):
+        with pytest.raises(InvalidParameterError):
+            max_signal_over_length(0.5, 1.0, 0.0, 3.0, samples)
 
 
 def test_error_taxonomy():
