@@ -321,8 +321,8 @@ def _parse_deltas(spec: str) -> list[float]:
 
 
 def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
-    gamma = _resolve(args, config, "gamma", 0.5)
-    length = _resolve(args, config, "length", 1.5)
+    gamma = require_finite("gamma", _resolve(args, config, "gamma", 0.5))
+    length = require_finite("length", _resolve(args, config, "length", 1.5))
     if args.delta is not None:
         deltas = _parse_deltas(args.delta)
     elif isinstance(config.get("deltas"), list):

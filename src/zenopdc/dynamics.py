@@ -18,6 +18,9 @@ Every exact route is one :func:`propagate_step`: generators, per-row frame
 phases and lengths in, one call of :func:`expm_i` (the package's one
 matrix-exponential kernel), ``(u, v, ok)`` out, where ``ok`` is the one
 finiteness rule (finite transfer matrix and vacuum occupations).
+:func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
+so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
+each masked squaring is a handful of elementwise numpy calls over all cells.
 :func:`params.require_ok` raises on a failed mask and :func:`frozen_map` builds every
 :class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
@@ -87,8 +90,14 @@ _PADE_13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 #: The pairs (b_{2k+1}, b_{2k}) for k = 0 … 6, shaped to broadcast over the stacked
-#: pair (W, V) of Padé polynomials in A², so one expression evaluates both.
+#: pair (W, V) of Padé polynomials in A² on planes, so one expression evaluates both.
 _PADE_PAIRS = np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
+#: The 3×3 identity as planes, shape (3, 3, 1), broadcasting over the cells.
+_IDENTITY = np.eye(3)[..., None]
+#: Index planes of the adjugate, indices mod 3:
+#: adj(D)[i, j] = D[j+1, i+1]·D[j+2, i+2] - D[j+1, i+2]·D[j+2, i+1].
+_R1, _C1 = (np.indices((3, 3))[::-1] + 1) % 3
+_R2, _C2 = (np.indices((3, 3))[::-1] + 2) % 3
 #: Largest 1-norm for which Padé [13/13] meets double precision unscaled (Higham 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
 #: Most squarings that leave a significant digit: each doubles the rounding error,
@@ -146,13 +155,24 @@ def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
     return m
 
 
+def _mul(x, y):
+    """Matrix products x·y on planes: x is (3, 3, n), y is (..., 3, 3, n)."""
+    return (x[:, :, None] * y[..., None, :, :, :]).sum(axis=-3)
+
+
 def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     """exp(i m t) for a real 3x3 generator or a stack (..., 3, 3) of them.
 
     ``t`` broadcasts over the stack.  This is scaling and squaring with one
     Padé [13/13] approximant (Higham 2005), vectorized over the stack: each
-    matrix A = i m t gets its own scaling 2^-s with s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉),
-    so a matrix comes out bitwise as it would from a call on it alone.
+    matrix A = i m t gets its own scaling 2^-s with s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉).
+    The stack is laid out as planes, one contiguous (3, 3, n) array whose entry
+    [i, j] is a row over the n cells, so every step is an elementwise numpy
+    call and a matrix comes out bitwise as it would from a call on it alone.
+    The Padé solve is a closed form: A is purely imaginary, so the even part V
+    and U/i are real, the numerator V + U is the conjugate of the denominator
+    D = V - U, and exp(A) ≈ D⁻¹·conj(D) = adj(D)·conj(D)/det(D).  Each squaring
+    runs on the whole stack and keeps the product only where s is not used up.
     Unlike an eigendecomposition it needs no switch near the defective set,
     where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
     |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite, or that needs
@@ -163,30 +183,27 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         b = np.asarray(t)[..., None, None] * m  # A = i b with b real
         shape = b.shape
-        b = b.reshape(-1, 3, 3)
-        norm = np.abs(b).sum(axis=-2).max(axis=-1)
-        s = np.ceil(np.log2(norm / _THETA_13)).clip(0)
-        bad = ~(s <= _MAX_SQUARINGS)  # also a norm that is inf or NaN
-        b[bad] = 0.0  # a zero generator keeps the solve clean; blanked below
-        s[bad] = 0.0
-        s = s.astype(np.intp)
-        b = np.ldexp(b, -s[:, None, None])
+        b = np.ascontiguousarray(b.reshape(-1, 9).T).reshape(3, 3, -1)
+        s = np.ceil(np.log2(np.abs(b).sum(axis=0).max(axis=0) / _THETA_13)).clip(0)
+        fit = s <= _MAX_SQUARINGS  # False also for a norm that is inf or NaN
+        s = np.where(fit, s, 0.0).astype(np.intp)
+        # A NaN scale makes every entry of a rejected cell NaN, and only of that cell.
+        b = b * np.where(fit, np.ldexp(1.0, -s), np.nan)
         # A = i b is purely imaginary, so A², A⁴, A⁶ and the even part V are real,
-        # and the odd part is U = i b W with W real.  Then exp(A) ≈ (V - U)⁻¹(V + U).
-        a2 = -(b @ b)
-        a4 = a2 @ a2
-        a6 = a4 @ a2
+        # and the odd part is U = i b W with W real.
+        a2 = -_mul(b, b)
+        a4 = _mul(a2, a2)
+        a6 = _mul(a4, a2)
         c = _PADE_PAIRS
         inner = c[6] * a6 + c[5] * a4 + c[4] * a2
-        w, v = a6 @ inner + c[3] * a6 + c[2] * a4 + c[1] * a2 + c[0] * np.eye(3)
-        u = 1j * (b @ w)
-        r = np.linalg.solve(v - u, v + u)
+        w, v = _mul(a6, inner) + c[3] * a6 + c[2] * a4 + c[1] * a2 + c[0] * _IDENTITY
+        d = v - 1j * _mul(b, w)
+        adj = d[_R1, _C1] * d[_R2, _C2] - d[_R1, _C2] * d[_R2, _C1]
+        det = (d[0] * adj[:, 0]).sum(axis=0)  # expanded along row 0
+        r = _mul(adj, d.conj()) / det  # (V - U)⁻¹(V + U), as V + U = conj(D)
         for j in range(s.max(initial=0)):
-            todo = np.flatnonzero(s > j)
-            r_j = r[todo]
-            r[todo] = r_j @ r_j
-    r[bad] = np.nan
-    return r.reshape(shape)
+            r = np.where(s > j, _mul(r, r), r)
+    return np.ascontiguousarray(r.reshape(9, -1).T).reshape(shape)
 
 
 def split_transfer(

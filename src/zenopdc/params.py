@@ -13,7 +13,6 @@ A number is a finite real, and >= 0 for Γ, κ and L (:func:`require_finite`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,8 +154,9 @@ class CouplerParams:
 
     def rescaled(self, c: float) -> "CouplerParams":
         """Return the physically equivalent parameter set (cΓ, cκ, cΔ, L/c)."""
-        if c <= 0 or not math.isfinite(c):
-            raise InvalidParameterError(f"scale factor must be positive and finite, got {c}")
+        c = require_finite("scale factor", c)
+        if c == 0.0:
+            raise InvalidParameterError(f"scale factor must be > 0, got {c!r}")
         return replace(
             self,
             gamma=c * self.gamma,

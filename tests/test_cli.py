@@ -293,6 +293,16 @@ def test_ridge_repeat_runs_are_byte_identical():
         assert first.stdout == second.stdout
 
 
+def test_ridge_config_and_flags_write_the_same_artifact(tmp_path):
+    # integer config values are echoed as the floats the ridge ran with
+    cfg = tmp_path / "ridge.json"
+    cfg.write_text(json.dumps({"gamma": 1, "length": 2, "deltas": [5]}))
+    from_config = run("ridge", "--config", str(cfg))
+    from_flags = run("ridge", "--gamma", "1", "--length", "2", "--delta", "5")
+    assert from_config.returncode == from_flags.returncode == 0
+    assert from_config.stdout == from_flags.stdout
+
+
 def test_ridge_bad_range_exits_2():
     # the last three overflow: an infinite end, an infinite span, a scan to 2*delta = inf
     for spec in ("5:3:4", "1:2", "3:abc:4", "1:inf:3", "-1e308:1e308:3", "1e308:1.7e308:3"):

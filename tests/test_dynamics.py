@@ -309,6 +309,58 @@ def test_non_finite_slice_is_nan_and_leaves_the_rest_of_the_stack_alone():
     assert np.isfinite(w[[0, 5]]).all()
 
 
+def _squarings(m, t):
+    """The scaling s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉) of A = i m t, per matrix of a stack."""
+    norm = np.abs(np.asarray(t)[..., None, None] * m).sum(axis=-2).max(axis=-1)
+    return np.ceil(np.log2(norm / dynamics._THETA_13)).clip(0)
+
+
+def test_expm_i_matches_scipy_expm():
+    sla = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(15)
+    cells = [draw_supported(rng) for _ in range(200)]
+    for gamma in (0.3, 0.5, 1.5):  # the defective points and their near neighbours
+        for eps in (0.0, 1e-9, -1e-9, 1e-7, -1e-7):
+            cells += [CouplerParams(gamma, gamma * (1 + eps), 0.0, 2.0),
+                      CouplerParams(gamma, 0.0, 2 * gamma * (1 + eps), 2.0),
+                      CouplerParams(gamma, 0.0, -2 * gamma * (1 + eps), 2.0)]
+    m = np.stack([build_generator(p) for p in cells])
+    t = np.array([p.length for p in cells])
+    # one generator over lengths that take 0, 1, ..., 7 squarings
+    m_k = build_generator(CouplerParams(0.05, 8.0, 6.0, 1.0))
+    t_k = 0.75 * dynamics._THETA_13 * 2.0 ** np.arange(8) / np.abs(m_k).sum(axis=0).max()
+    assert list(_squarings(m_k, t_k)) == list(range(8))
+    m = np.concatenate([m, np.broadcast_to(m_k, (8, 3, 3))])
+    t = np.concatenate([t, t_k])
+    w = expm_i(m, t)
+    for i in range(len(m)):
+        ref = sla.expm(1j * m[i] * t[i])
+        assert np.max(np.abs(w[i] - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref))), i
+
+
+@pytest.mark.filterwarnings("error")
+def test_masked_squarings_leave_every_slice_as_it_is_alone():
+    # Cells with fewer squarings compute the stack's extra products and discard
+    # them; here the cell that takes 50 squarings drives every other cell's
+    # discarded products to overflow, and none of it may reach a kept slice.
+    m_gain = build_generator(CouplerParams(1.0, 0.5, 0.3, 1.0))
+    m_osc = build_generator(CouplerParams(0.0, 2.0, 3.0, 1.0))
+    norm_gain, norm_osc = np.abs(m_gain).sum(axis=0).max(), np.abs(m_osc).sum(axis=0).max()
+    theta = dynamics._THETA_13
+    m = np.stack([m_gain, m_osc, m_gain, m_osc, m_osc, m_gain, m_osc, m_osc])
+    t = np.array([0.9 * theta / norm_gain, 1.5 * theta / norm_osc, 1.0, 6.0 * theta / norm_osc,
+                  0.75 * 2.0**50 * theta / norm_osc, 40.0 * theta / norm_gain,
+                  2.0**54 * theta / norm_osc, 1.0])
+    m[2, 1, 0] = np.nan  # a NaN generator
+    s = _squarings(m, t)
+    assert list(s[[0, 1, 3, 4, 5, 6]]) == [0, 1, 3, 50, 6, 54] and np.isnan(s[2])
+    w = expm_i(m, t)
+    assert np.isnan(w[[2, 6]]).all()  # NaN, and beyond 52 squarings
+    assert np.isfinite(w[[0, 1, 3, 4, 5, 7]]).all()
+    for i in range(len(m)):
+        assert np.array_equal(w[i], expm_i(m[i], t[i]), equal_nan=True), i
+
+
 def _columns(cells):
     return [np.array([getattr(p, name) for p in cells]) for name in ("gamma", "kappa", "delta", "length")]
 

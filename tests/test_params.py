@@ -67,7 +67,7 @@ def test_rescaled_fields():
     assert (q.gamma, q.kappa, q.delta, q.length) == (1.0, 2.0, -4.0, 0.75)
 
 
-@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan, -0.0, "2", True, None, 1j])
 def test_rescaled_rejects_bad_factor(c):
     with pytest.raises(InvalidParameterError):
         CouplerParams(0.5, 1.0, 0.0, 1.0).rescaled(c)
