@@ -6,14 +6,18 @@ fig2/fig3), reject keys the command does not declare, resolve ``--out`` and
 ``--format`` (flags override config values), run the command, and write its
 artifact.  Reports are JSON on stdout unless ``--out`` redirects them to a
 file; sweep and ridge can also emit CSV, while simulate, classify and
-dressed-check take only JSON.  All artifacts are byte-deterministic.
+dressed-check take only JSON.  All artifacts are byte-deterministic.  A
+sweep's artifact is streamed, row by row, as it is formatted, so memory stays
+at the sweep's own level; a write that fails midway leaves a truncated file
+(no temp file, no rename) and exits 2.
 ``sweep --threads`` is deprecated: it is accepted and validated but changes
 neither the work nor the output, because sweeps run serially.
 
 Exit codes: 0 success; 2 invalid parameters/config/range (including an
 unreadable config file, a JSON boolean, a JSON string or an integer beyond
 float64 where a number belongs, and a grid or range too large to allocate) or
-an unwritable ``--out`` (a missing directory is caught before any work);
+an unwritable ``--out`` (a missing directory is caught before any work, a
+failed write only after the work);
 3 engine-parameter mismatch (closed-form engine off its domain,
 classification at kappa = 0); 4 sweep finished but some cells failed;
 5 dressed-frame cross-check exceeded its tolerance.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, astuple, fields
 from importlib import resources
 from pathlib import Path
@@ -147,34 +152,56 @@ def _out_path(args, config: dict) -> str | None:
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not out:
-        sys.stdout.write(text)
-        return
+#: Cells per encoded slice of a sweep row, so that no piece grows with the grid.
+_SLICE = 4096
+#: The C encoder (``indent=None``) with ``indent=2``'s item separator at depth 2:
+#: ``encode(cells)[1:-1]`` is a grid row's items as ``json.dumps(..., indent=2)`` lays them out.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _write(pieces, out: str | None) -> None:
+    """Write the artifact's pieces to ``out`` (or stdout) as they are made.
+
+    This is the one place a write failure becomes ``cannot write``.  There is
+    no temp file: a write that fails midway leaves a truncated ``out``.
+    """
     try:
-        Path(out).write_text(text)
+        if not out:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a buffered stdout fails here, not at exit
+            return
+        with open(out, "w") as stream:
+            stream.writelines(pieces)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable character
-        raise InvalidParameterError(f"cannot write {out}: {exc}") from exc
+        raise InvalidParameterError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"
+def _report(doc: dict) -> list[str]:
+    return [json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"]
 
 
-def _csv_text(header, rows) -> str:
-    """One comma-separated line per row; a float field prints as its repr."""
-    return "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
+def _json_grid(grid: np.ndarray):
+    """``grid``'s rows, in slices, as ``json.dumps(..., indent=2)`` writes them at depth 1."""
+    for i, row in enumerate(grid):
+        yield ",\n    [\n      " if i else "[\n    [\n      "
+        for j in range(0, len(row), _SLICE):
+            if j:
+                yield ",\n      "
+            yield _ROW_ENCODER.encode(row[j:j + _SLICE].tolist())[1:-1]
+        yield "\n    ]"
+    yield "\n  ]"
 
 
 # ------------------------------------------------------------------ commands
 #
 # Each command receives the parsed flags, the config (its keys already
-# checked) and the resolved format, and returns (artifact text, exit code,
-# stderr note or None); ``main`` writes the artifact and only then the note,
-# so that a failed write leaves "error:" as the first line on stderr.
+# checked) and the resolved format, and returns (artifact pieces, exit code,
+# stderr note or None): the pieces are strings, formatted lazily for a sweep
+# but only after all the work is done.  ``main`` writes them and only then
+# the note, so that a failed write leaves "error:" as the first line on stderr.
 
 
-def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
+def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
     if engine not in ("exact", "ode", "closed-form"):
@@ -200,10 +227,10 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
         "symplectic_residual": residual,
         "branch": branch,
     }
-    return _json_text(report), EXIT_OK, None
+    return _report(report), EXIT_OK, None
 
 
-def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
+def cmd_classify(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     params = _merge_params(args, config)
     report = classify_regime(params)
     doc = {"command": "classify", "params": asdict(params), **asdict(report)}
@@ -213,7 +240,7 @@ def cmd_classify(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
     else:
         window = ""
     note = f"regime: {report.regime} (discriminant {report.discriminant:.6g}){window}"
-    return _json_text(doc), EXIT_OK, note
+    return _report(doc), EXIT_OK, note
 
 
 def _sweep_spec_from(args, config: dict) -> SweepSpec:
@@ -238,31 +265,37 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
     return SweepSpec(fixed=fixed, axis1=axes[0], axis2=axes[1], engine=engine)
 
 
-def cmd_sweep(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
+def cmd_sweep(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     spec = _sweep_spec_from(args, config)
     grid = sweep_2d(spec, threads=_resolve(args, config, "threads", 1))
-    if fmt == "csv":
-        axes = np.meshgrid(spec.axis1.grid(), spec.axis2.grid(), indexing="ij")
-        columns = (a.ravel().tolist() for a in (*axes, grid.values, grid.provenance))
-        text = _csv_text(("axis1", "axis2", "n_s", "engine"), zip(*columns))
-    else:
-        # The grids are converted before encoding: converted inside the encoder,
-        # their floats interleave with its chunks and fig3's peak RSS grows ≈0.4 MiB.
-        text = _json_text({
-            "engine": spec.engine,
-            "fixed": asdict(spec.fixed),
-            "axis1": asdict(spec.axis1),
-            "axis2": asdict(spec.axis2),
-            "values": grid.values.tolist(),
-            "provenance": grid.provenance.tolist(),
-            "failures": grid.failures,
-        })
+    pieces = (_sweep_csv if fmt == "csv" else _sweep_json)(spec, grid)
     if grid.failures:
-        return text, EXIT_CELL_FAILURES, f"{grid.failures} grid cells failed (tagged NaN)"
-    return text, EXIT_OK, None
+        return pieces, EXIT_CELL_FAILURES, f"{grid.failures} grid cells failed (tagged NaN)"
+    return pieces, EXIT_OK, None
 
 
-def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
+def _sweep_json(spec: SweepSpec, grid):
+    """The sorted spec keys, then ``provenance`` and ``values``, the last two keys, row by row."""
+    (head,) = _report({"axis1": asdict(spec.axis1), "axis2": asdict(spec.axis2),
+                       "engine": spec.engine, "failures": grid.failures, "fixed": asdict(spec.fixed)})
+    yield head[:-3] + ',\n  "provenance": '  # head ends "\n}\n"
+    yield from _json_grid(grid.provenance)
+    yield ',\n  "values": '
+    yield from _json_grid(grid.values)
+    yield "\n}\n"
+
+
+def _sweep_csv(spec: SweepSpec, grid):
+    """One ``axis1,axis2,n_s,engine`` line per cell; a float prints as its repr (NaN as nan)."""
+    yield "axis1,axis2,n_s,engine\n"
+    ys = list(map(repr, spec.axis2.grid().tolist()))
+    for x, values, tags in zip(map(repr, spec.axis1.grid().tolist()), grid.values, grid.provenance):
+        for j in range(0, len(ys), _SLICE):
+            cells = zip(ys[j:j + _SLICE], values[j:j + _SLICE].tolist(), tags[j:j + _SLICE].tolist())
+            yield "".join([f"{x},{y},{v!r},{t}\n" for y, v, t in cells])
+
+
+def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     seed = _resolve(args, config, "seed", None)
     if seed is None:
         params = _merge_params(args, config)
@@ -297,7 +330,7 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[str, int, str | Non
         "passed": passed,
         "qpm": qpm_doc,
     }
-    return _json_text(report), EXIT_OK if passed else EXIT_DRESSED_MISMATCH, None
+    return _report(report), EXIT_OK if passed else EXIT_DRESSED_MISMATCH, None
 
 
 def _parse_deltas(spec: str) -> list[float]:
@@ -320,7 +353,7 @@ def _parse_deltas(spec: str) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
+def cmd_ridge(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     gamma = require_finite("gamma", _resolve(args, config, "gamma", 0.5))
     length = require_finite("length", _resolve(args, config, "length", 1.5))
     if args.delta is not None:
@@ -338,8 +371,8 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
         slope, intercept, max_residual = ridge_linearity(points)
         fit = {"slope": slope, "intercept": intercept, "max_residual": max_residual}
     if fmt == "csv":
-        header = [field.name for field in fields(RidgePoint)]
-        return _csv_text(header, map(astuple, points)), EXIT_OK, None
+        rows = [[field.name for field in fields(RidgePoint)], *map(astuple, points)]
+        return ["".join(",".join(map(str, row)) + "\n" for row in rows)], EXIT_OK, None
     doc = {
         "command": "ridge",
         "gamma": gamma,
@@ -347,7 +380,7 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[str, int, str | None]:
         "points": [asdict(p) for p in points],
         "fit": fit,
     }
-    return _json_text(doc), EXIT_OK, None
+    return _report(doc), EXIT_OK, None
 
 
 # -------------------------------------------------------------------- parser
@@ -412,8 +445,8 @@ def main(argv=None) -> int:
             raise InvalidParameterError(
                 f"{args.command} supports only --format {' or '.join(args.formats)}, got {fmt!r}"
             )
-        text, code, note = args.func(args, config, fmt)
-        _emit(text, out)
+        pieces, code, note = args.func(args, config, fmt)
+        _write(pieces, out)
         if note:
             print(note, file=sys.stderr)
         return code

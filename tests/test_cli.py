@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -584,3 +586,120 @@ def test_artifacts_are_canonical_json_and_csv_carries_the_json_values(tmp_path, 
     assert [line.split(",") for line in lines[1:]] == [
         [repr(p["delta"]), repr(p["kappa_opt"]), repr(p["n_s_max"])] for p in ridge["points"]
     ]
+
+
+# Rows of 9000 cells: each spans three of the writer's encoded slices.
+_WIDE_SWEEP = {
+    "fixed": {"gamma": 0.5, "length": 1.5},
+    "axis1": {"name": "kappa", "start": 0.0, "stop": 3.0, "count": 2},
+    "axis2": {"name": "delta", "start": -5.0, "stop": 5.0, "count": 9000},
+}
+
+
+def _whole_text_sweep_artifacts(config):
+    """A sweep's JSON and CSV built whole: the tolist() document, and one str-joined row per cell."""
+    from dataclasses import asdict
+
+    import numpy as np
+
+    from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
+
+    fixed = {"gamma": 0.5, "kappa": 0.0, "delta": 0.0, "length": 1.0, **config["fixed"]}
+    spec = SweepSpec(CouplerParams(**fixed), SweepAxis(**config["axis1"]),
+                     SweepAxis(**config["axis2"]), config.get("engine", "numeric"))
+    grid = sweep_2d(spec)
+    doc = {"engine": spec.engine, "fixed": asdict(spec.fixed), "axis1": asdict(spec.axis1),
+           "axis2": asdict(spec.axis2), "values": grid.values.tolist(),
+           "provenance": grid.provenance.tolist(), "failures": grid.failures}
+    axes = np.meshgrid(spec.axis1.grid(), spec.axis2.grid(), indexing="ij")
+    columns = (a.ravel().tolist() for a in (*axes, grid.values, grid.provenance))
+    rows = [("axis1", "axis2", "n_s", "engine"), *zip(*columns)]
+    return {"json": json.dumps(doc, sort_keys=True, indent=2) + "\n",
+            "csv": "\n".join(",".join(map(str, row)) for row in rows) + "\n"}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "mixed", "wide"])
+def test_streamed_sweep_artifacts_are_the_whole_text_bytes(tmp_path, capsys, name):
+    from importlib import resources
+
+    from zenopdc import cli
+
+    config = {"mixed": _MIXED_SWEEP, "wide": _WIDE_SWEEP}.get(name)
+    if config is None:
+        config = json.loads(resources.files("zenopdc").joinpath("configs", f"{name}.json").read_text())
+        source = name
+    else:
+        source = str(tmp_path / "sweep.json")
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+    for fmt, text in _whole_text_sweep_artifacts(config).items():
+        out = tmp_path / f"artifact.{fmt}"
+        code = cli.main(["sweep", "--config", source, "--format", fmt])
+        assert code == (4 if name == "mixed" else 0)
+        assert capsys.readouterr().out == text
+        assert cli.main(["sweep", "--config", source, "--format", fmt, "--out", str(out)]) == code
+        assert out.read_bytes() == text.encode()
+
+
+def test_sweep_artifact_memory_stays_at_the_sweeps(tmp_path):
+    # 2 x 200 000 cells: sweep_2d's grids grow RSS by ≈29 MiB.  Built whole, the artifact
+    # grew it by 156 MiB (JSON) and 184 MiB (CSV); streamed, by ≈30 and ≈53 MiB, the CSV
+    # holding the 200 000 axis-2 reprs too.
+    for name, count in (("small.json", 2), ("big.json", 200_000)):
+        (tmp_path / name).write_text(json.dumps({
+            "fixed": {"gamma": 0.5, "delta": 1.0, "length": 1.5},
+            "axis1": {"name": "gamma", "start": 0.1, "stop": 0.5, "count": 2},
+            "axis2": {"name": "kappa", "start": 0.0, "stop": 10.0, "count": count},
+        }))
+    code = f"""
+import resource
+from zenopdc import cli
+tmp = {str(tmp_path)!r}
+for fmt in ("json", "csv"):
+    assert cli.main(["sweep", "--config", tmp + "/small.json", "--format", fmt,
+                     "--out", tmp + "/small." + fmt]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for fmt in ("json", "csv"):
+    assert cli.main(["sweep", "--config", tmp + "/big.json", "--format", fmt,
+                     "--out", tmp + "/big." + fmt]) == 0
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth_json, growth_csv = map(float, proc.stdout.split())
+    assert growth_json < 64.0 and growth_csv < 64.0  # MiB
+    assert (tmp_path / "big.csv").read_text().count("\n") == 1 + 2 * 200_000
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_exits_2_with_only_the_error_on_stderr(tmp_path, capsys):
+    from zenopdc import cli
+
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps({
+        "fixed": {"length": 2.5},
+        "axis1": {"name": "gamma", "start": 200.0, "stop": 500.0, "count": 2},
+        "axis2": {"name": "length", "start": 2.5, "stop": 3.0, "count": 2},
+    }))
+    # classify always has a regime note, the failing sweep a failed-cell note, and fig3's
+    # artifact fails while it is being written rather than when the file is closed
+    for argv in (["simulate"], ["classify", "--kappa", "4", "--delta", "5"],
+                 ["dressed-check", "--seed", "1"], ["sweep", "--config", "fig3"],
+                 ["sweep", "--config", str(failing)],
+                 ["sweep", "--config", str(failing), "--format", "csv"],
+                 ["ridge", "--delta", "5"], ["ridge", "--delta", "5", "--format", "csv"]):
+        assert cli.main([*argv, "--out", "/dev/full"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full") and len(err.splitlines()) == 1, err
+    # a temp file renamed onto the target would have replaced the device node
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_write_to_stdout_exits_2_without_a_traceback():
+    for fmt in ("json", "csv"):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*CMD, "sweep", "--config", "fig2", "--format", fmt], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout")
+        assert len(proc.stderr.splitlines()) == 1
