@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from zenopdc import find_anti_zeno_ridge, propagate_batch, ridge_linearity
-from zenopdc.dynamics import occupation_numbers
 from zenopdc.params import require_ok
 
 
@@ -31,10 +30,10 @@ def main() -> int:
     points = find_anti_zeno_ridge(args.gamma, args.length, deltas)
 
     # The unprobed (kappa = 0) signal at every ridge delta, in one stacked propagation.
-    _, v, ok = propagate_batch(args.gamma, 0.0, [p.delta for p in points], args.length)
+    _, _, n, ok = propagate_batch(args.gamma, 0.0, [p.delta for p in points], args.length)
     require_ok(ok, "unprobed signal")
     lines = ["delta,kappa_opt,n_s_max,n_s_unprobed,enhancement"]
-    for p, unprobed in zip(points, occupation_numbers(v)[:, 0].tolist()):
+    for p, unprobed in zip(points, n[:, 0].tolist()):
         gain = p.n_s_max / unprobed if unprobed > 0 else float("inf")
         lines.append(f"{p.delta!r},{p.kappa_opt!r},{p.n_s_max!r},{unprobed!r},{gain!r}")
     args.out.write_text("\n".join(lines) + "\n")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, fields
@@ -50,6 +51,7 @@ from .regimes import classify_regime
 from .sweeps import (
     ENGINE_NUMERIC,
     ENGINES,
+    PARAM_AXES,
     RidgePoint,
     SweepAxis,
     SweepSpec,
@@ -67,7 +69,6 @@ EXIT_DRESSED_MISMATCH = 5
 DRESSED_CHECK_TOL = 1e-8
 
 _PARAM_DEFAULTS = {"gamma": 0.5, "kappa": 0.0, "delta": 0.0, "length": 1.0}
-_PARAM_NAMES = ("gamma", "kappa", "delta", "length")
 _PARAM_HELP = {
     "gamma": "downconversion gain (1/length)",
     "kappa": "idler-probe coupling (1/length)",
@@ -119,7 +120,7 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
 def _merge_params(args, config: dict) -> CouplerParams:
     """Resolve gamma/kappa/delta/length from flags > config > defaults."""
     return CouplerParams(
-        **{name: _resolve(args, config, name, _PARAM_DEFAULTS[name]) for name in _PARAM_NAMES}
+        **{name: _resolve(args, config, name, _PARAM_DEFAULTS[name]) for name in PARAM_AXES}
     )
 
 
@@ -163,7 +164,8 @@ def _write(pieces, out: str | None) -> None:
     """Write the artifact's pieces to ``out`` (or stdout) as they are made.
 
     This is the one place a write failure becomes ``cannot write``.  There is
-    no temp file: a write that fails midway leaves a truncated ``out``.
+    no temp file: a write that fails midway leaves a truncated ``out``.  After a
+    failed write to the process's stdout, stdout is ``/dev/null``: the exit flush cannot fail.
     """
     try:
         if not out:
@@ -173,6 +175,10 @@ def _write(pieces, out: str | None) -> None:
         with open(out, "w") as stream:
             stream.writelines(pieces)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable character
+        if not out and sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise InvalidParameterError(f"cannot write {out or 'stdout'}: {exc}") from exc
 
 
@@ -247,7 +253,7 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
     fixed_cfg = config.get("fixed", {})
     if not isinstance(fixed_cfg, dict):
         raise InvalidParameterError("sweep config 'fixed' must be an object")
-    _check_keys(fixed_cfg, set(_PARAM_NAMES), "fixed")
+    _check_keys(fixed_cfg, set(PARAM_AXES), "fixed")
     fixed = _merge_params(args, fixed_cfg)
 
     axes = []
@@ -386,7 +392,7 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | N
 # -------------------------------------------------------------------- parser
 
 
-def _add_command(sub, name: str, func, summary: str, keys, formats=("json",), flags=_PARAM_NAMES):
+def _add_command(sub, name: str, func, summary: str, keys, formats=("json",), flags=PARAM_AXES):
     """Register ``name``: a float flag per parameter in ``flags``, the shared
     --config/--out/--format, and the config ``keys`` and ``formats`` that
     :func:`main` checks before it calls ``func``."""
@@ -408,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "simulate", cmd_simulate, "occupations for one parameter point",
-                     keys={*_PARAM_NAMES, "engine"})
+                     keys={*PARAM_AXES, "engine"})
     p.add_argument("--engine", choices=("exact", "ode", "closed-form"),
                    help="propagation engine (default exact)")
 
     _add_command(sub, "classify", cmd_classify, "dynamical regime from the frequency cubic",
-                 keys=_PARAM_NAMES)
+                 keys=PARAM_AXES)
 
     p = _add_command(sub, "sweep", cmd_sweep, "2-D grid of signal occupations",
                      keys={"fixed", "axis1", "axis2", "engine", "threads", *_SWEEP_RESULT_KEYS},
@@ -424,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "output is identical")
 
     p = _add_command(sub, "dressed-check", cmd_dressed_check,
-                     "cross-validate the dressed-frame route", keys={*_PARAM_NAMES, "seed"})
+                     "cross-validate the dressed-frame route", keys={*PARAM_AXES, "seed"})
     p.add_argument("--seed", type=int, help="draw random parameters instead of flags")
 
     p = _add_command(sub, "ridge", cmd_ridge, "track the anti-Zeno ridge kappa_opt(delta)",

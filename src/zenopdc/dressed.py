@@ -26,7 +26,6 @@ from .dynamics import (
     BogoliubovMap,
     ModeOccupations,
     frozen_map,
-    occupation_numbers,
     propagate_step,
 )
 from .params import CouplerParams, DomainError, InvalidParameterError, require_ok, valid_cells
@@ -64,7 +63,7 @@ def build_dressed_generator(gamma: float, kappa: float, delta: float) -> NDArray
 
 
 def _dressed_blocks(gamma: float, kappa: float, delta: float, length):
-    """Original-picture (U, V) blocks on (s, c, d), stacked over ``length``.
+    """Original-picture (U, V) blocks on (s, c, d) and occupations, stacked over ``length``.
 
     The dressed rotating frame is unwound mode-wise: the e^{∓iκt} phases on
     (c, d) cancel exactly against their dressed energy shifts, so only the
@@ -74,14 +73,14 @@ def _dressed_blocks(gamma: float, kappa: float, delta: float, length):
     angles = np.zeros(np.shape(length) + (3,))
     with np.errstate(over="ignore"):
         angles[..., 0] = -delta * np.asarray(length)
-    u, v, ok = propagate_step(build_dressed_generator(gamma, kappa, delta), angles, length)
+    u, v, n, ok = propagate_step(build_dressed_generator(gamma, kappa, delta), angles, length)
     require_ok(ok, "dressed propagation")
-    return u, v
+    return u, v, n
 
 
 def dressed_bogoliubov_map(params: CouplerParams) -> BogoliubovMap:
     """Full Bogoliubov map over (s, c, d) in the original interaction picture."""
-    u, v = _dressed_blocks(params.gamma, params.kappa, params.delta, params.length)
+    u, v, _ = _dressed_blocks(params.gamma, params.kappa, params.delta, params.length)
     return frozen_map(u, v, params, modes=DRESSED_MODES)
 
 
@@ -95,8 +94,8 @@ def propagate_dressed(params: CouplerParams) -> ModeOccupations:
 
     with <c†d> = Σ_β conj(V_cβ) V_dβ for vacuum input.
     """
-    v = dressed_bogoliubov_map(params).v_block
-    n_s, n_c, n_d = map(float, occupation_numbers(v))
+    _, v, n = _dressed_blocks(params.gamma, params.kappa, params.delta, params.length)
+    n_s, n_c, n_d = map(float, n)
     coherence = float(np.sum(np.conj(v[1]) * v[2]).real)
     half = 0.5 * (n_c + n_d)
     return ModeOccupations(
@@ -137,11 +136,10 @@ def resonant_vs_qpm(
     *_, ls, ok = valid_cells(gamma, 0.0, delta, lengths)
     if not np.all(ok):
         raise InvalidParameterError(f"lengths must be finite and >= 0, got {lengths!r}")
-    _, v = _dressed_blocks(gamma, abs(delta), delta, ls)
-    resonant = occupation_numbers(v)[..., 0]
+    _, _, n = _dressed_blocks(gamma, abs(delta), delta, ls)
     return {
         "lengths": ls,
-        "resonant": resonant,
+        "resonant": n[..., 0],
         "qpm_model": np.sinh(2.0 * gamma * ls / math.pi) ** 2,
         "matched_channel": np.sinh(gamma * ls / _SQRT2) ** 2,
     }

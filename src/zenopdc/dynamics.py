@@ -16,8 +16,8 @@ constant real generator
 
 Every exact route is one :func:`propagate_step`: generators, per-row frame
 phases and lengths in, one call of :func:`expm_i` (the package's one
-matrix-exponential kernel), ``(u, v, ok)`` out, where ``ok`` is the one
-finiteness rule (finite transfer matrix and vacuum occupations).
+matrix-exponential kernel), ``(u, v, n, ok)`` out: the blocks, their vacuum
+occupations ``n`` and the one finiteness rule ``ok`` (finite W and ``n``).
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of elementwise numpy calls over all cells.
@@ -142,17 +142,11 @@ def build_generator(params: CouplerParams) -> NDArray[np.float64]:
 
 
 def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
-    """Generators M stacked over the broadcast shape of the three rates."""
+    """Generators M for three rate arrays of one shape, stacked over it as a (..., 3, 3) view."""
     g, k, half_d = np.asarray(gamma), np.asarray(kappa), 0.5 * np.asarray(delta)
-    m = np.zeros(np.broadcast_shapes(g.shape, k.shape, half_d.shape) + (3, 3))
-    m[..., 0, 0] = half_d
-    m[..., 0, 1] = g
-    m[..., 1, 0] = -g
-    m[..., 1, 1] = -half_d
-    m[..., 1, 2] = -k
-    m[..., 2, 1] = -k
-    m[..., 2, 2] = -half_d
-    return m
+    zero = np.zeros(g.shape)
+    m = np.array([[half_d, g, zero], [-g, -half_d, -k], [zero, -k, -half_d]])
+    return m.transpose(*range(2, m.ndim), 0, 1)  # planes (3, 3, ...) viewed as (..., 3, 3)
 
 
 def _mul(x, y):
@@ -229,14 +223,16 @@ def propagate_step(m: NDArray[np.float64], angles, length):
 
     ``m`` is a real generator or a stack (..., 3, 3), ``angles`` the frame
     phases θ per row, shape ``stack + (3,)``, and ``length`` broadcasts over
-    the stack.  Returns stacked ``(u, v, ok)``; ``ok`` marks the cells whose W
-    and vacuum occupations are finite.  Nothing raises or warns for the others.
+    the stack.  Returns stacked ``(u, v, n, ok)``: ``n`` holds the occupations
+    of :func:`occupation_numbers`, and ``ok`` marks the cells whose W and ``n``
+    are finite.  Nothing raises or warns for the others.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(1j * np.asarray(angles))[..., :, None] * expm_i(m, length)
     u, v = split_transfer(w)
-    ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(occupation_numbers(v)).all(axis=-1)
-    return u, v, ok
+    n = occupation_numbers(v)
+    ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
+    return u, v, n, ok
 
 
 def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
@@ -249,21 +245,22 @@ def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> B
 def propagate_batch(gamma, kappa, delta, length):
     """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
 
-    Returns ``(u, v, ok)``: the stacked Bogoliubov blocks, shape
-    ``broadcast + (3, 3)``, and a boolean mask of that broadcast shape.  A cell
-    that :func:`params.valid_cells` rejects, or whose exponential or vacuum
-    occupations are not finite, gets ``ok = False`` and NaN blocks; nothing is
-    raised for it.  :func:`propagate_exact` is one cell of it.
+    Returns ``(u, v, n, ok)``: the stacked Bogoliubov blocks, shape
+    ``broadcast + (3, 3)``, their vacuum occupations (n_s, n_i, n_b) and a
+    boolean mask of the broadcast shape.  A cell that :func:`params.valid_cells`
+    rejects, or whose exponential or occupations are not finite, gets
+    ``ok = False`` and NaN blocks and occupations; nothing is raised for it.
+    :func:`propagate_exact` is one cell of it.
     """
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
     with np.errstate(over="ignore"):
         angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
-    u, v, finite = propagate_step(_generators(g, k, d), angles, t)
+    u, v, n, finite = propagate_step(_generators(g, k, d), angles, t)
     ok &= finite
-    u[~ok] = np.nan
-    v[~ok] = np.nan
-    return u, v, ok
+    for block in (u, v, n):
+        block[~ok] = np.nan
+    return u, v, n, ok
 
 
 def propagate_exact(params: CouplerParams) -> BogoliubovMap:
@@ -273,7 +270,7 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     original-frame operators; a cell whose exponential or vacuum occupations
     are not finite raises NumericError.
     """
-    u, v, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
+    u, v, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
     require_ok(ok, "exact propagation")
     return frozen_map(u, v, params)
 

@@ -9,9 +9,10 @@ provenance, and a stacked cell is bit-identical to its single-cell result,
 so repeated runs produce byte-identical artifacts.  Cell-level numerical
 failures are recorded as NaN with a "failed" tag rather than aborting the
 sweep.  The peak-over-length envelope is one stacked propagation too, and
-the ridge propagates only in stacks: per Δ one 257-point κ scan plus about
-8–9 zoom batches of 9 points, each zoom level shrinking the bracket 4× until
-its half-width is <= 1e-6.
+the ridge propagates only in stacks: per Δ one 257-point κ scan (level 0)
+plus about 8–9 zoom levels of 9 points, each shrinking the bracket 4× until
+its half-width is <= 1e-6.  Every one of these reads n_s from the
+occupations that :func:`dynamics.propagate_batch` returns with its blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_batch, covered
-from .dynamics import occupation_numbers, propagate_batch
+from .dynamics import propagate_batch
 from .params import (
     CouplerParams,
     FlatLandscapeWarning,
@@ -127,8 +128,8 @@ class RidgePoint:
 
 def _signal(gamma, kappa, delta, length) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Signal occupations of one stacked propagation, and its per-cell ok mask."""
-    _, v, ok = propagate_batch(gamma, kappa, delta, length)
-    return occupation_numbers(v)[..., 0], ok
+    _, _, n, ok = propagate_batch(gamma, kappa, delta, length)
+    return n[..., 0], ok
 
 
 def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
@@ -171,15 +172,14 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
 def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint]:
     """Locate the coupling κ_opt that maximizes n_s at each mismatch Δ.
 
-    For each Δ the signal occupation is scanned on κ ∈ [0, 2Δ] (one stacked
-    propagation of 257 points) and the scan's argmax is refined by a zoom:
-    each level is one stacked propagation of 9 points on κ ± w, clamped to
-    κ >= 0, whose argmax becomes the new κ while w shrinks 4×, starting from
-    the scan spacing and stopping once w <= 1e-6.  That is one scan batch
-    plus about 8–9 zoom batches per Δ; κ stays among the points, so n_s_max
-    never decreases, and w shrinks however large κ is.  On the compensation
-    ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).  Emits
-    FlatLandscapeWarning when the scan sees no structure to refine.
+    For each Δ every level is one stacked propagation whose argmax becomes
+    the new κ.  Level 0 scans κ ∈ [0, 2Δ] in 257 points; each zoom level after
+    it evaluates 9 points on κ ± w, clamped to κ >= 0, while w shrinks 4×,
+    starting from the scan spacing and stopping once w <= 1e-6.  That is one
+    scan plus about 8–9 zoom levels per Δ; κ stays among the points, so
+    n_s_max never decreases, and w shrinks however large κ is.  On the
+    compensation ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).
+    Emits FlatLandscapeWarning when the scan sees no structure to refine.
     """
     gamma = _require("gamma", gamma)
     length = _require("length", length)
@@ -191,29 +191,25 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
         if delta <= 0.0:
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
         kappas = np.linspace(0.0, _require("ridge scan end 2*delta", 2.0 * delta), _SCAN_POINTS)
-        scan, ok = _signal(gamma, kappas, delta, length)
-        require_ok(ok, f"ridge scan at delta={delta}")
-        lo, hi = float(scan.min()), float(scan.max())
-        # Variation below one part in 1e6 is indistinguishable from the
-        # rounding noise of near-identity maps (noise floor ~1e-7 relative),
-        # so the argmax would track noise, not physics.
-        if hi <= lo * (1.0 + 1e-6):
-            warnings.warn(
-                f"flat signal landscape at delta={delta}; refinement is meaningless",
-                FlatLandscapeWarning,
-                stacklevel=2,
-            )
-        best = int(np.argmax(scan))
-        k_opt, n_max = float(kappas[best]), float(scan[best])
-        w = float(kappas[1])  # the scan spacing
-        while w > _TOL:
+        w, level = float(kappas[1]), "scan"  # w starts at the scan spacing
+        while True:
+            n_s, ok = _signal(gamma, kappas, delta, length)
+            require_ok(ok, f"ridge {level} at delta={delta}")
+            # Variation below one part in 1e6 is indistinguishable from the
+            # rounding noise of near-identity maps (noise floor ~1e-7 relative),
+            # so the argmax would track noise, not physics.
+            if level == "scan" and n_s.max() <= n_s.min() * (1.0 + 1e-6):
+                warnings.warn(
+                    f"flat signal landscape at delta={delta}; refinement is meaningless",
+                    FlatLandscapeWarning,
+                    stacklevel=2,
+                )
+            best = int(np.argmax(n_s))
+            k_opt, n_max = float(kappas[best]), float(n_s[best])
+            if w <= _TOL:
+                break
             # The middle offset is exactly 0, so k_opt itself is re-evaluated.
-            zoom_kappas = np.maximum(k_opt + w * _ZOOM_OFFSETS, 0.0)
-            zoom, ok = _signal(gamma, zoom_kappas, delta, length)
-            require_ok(ok, f"ridge zoom at delta={delta}")
-            best = int(np.argmax(zoom))
-            k_opt, n_max = float(zoom_kappas[best]), float(zoom[best])
-            w /= 4.0
+            kappas, w, level = np.maximum(k_opt + w * _ZOOM_OFFSETS, 0.0), w / 4.0, "zoom"
         points.append(RidgePoint(delta=delta, kappa_opt=k_opt, n_s_max=n_max))
     return points
 

@@ -696,10 +696,16 @@ def test_a_failed_write_exits_2_with_only_the_error_on_stderr(tmp_path, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_failed_write_to_stdout_exits_2_without_a_traceback():
-    for fmt in ("json", "csv"):
+    # A buffered stdout keeps a small artifact until the flush, and the interpreter
+    # flushes it once more at exit: that second failure must not reach stderr.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for args in (["sweep", "--config", "fig2", "--format", "json"],
+                 ["sweep", "--config", "fig2", "--format", "csv"],
+                 ["sweep", "--config", "fig3"], ["simulate"],
+                 ["classify", "--kappa", "4", "--delta", "5"], ["ridge", "--delta", "5"]):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([*CMD, "sweep", "--config", "fig2", "--format", fmt], stdout=full,
-                                  stderr=subprocess.PIPE, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot write stdout")
-        assert len(proc.stderr.splitlines()) == 1
+            proc = subprocess.run([*CMD, *args], stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, env=env)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: cannot write stdout"), args
+        assert len(proc.stderr.splitlines()) == 1, args

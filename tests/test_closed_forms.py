@@ -1,7 +1,9 @@
 """Closed-form laws: frozen values, branch handling, oracle equivalence."""
 
+import ast
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +345,15 @@ def test_package_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(zenopdc.__all__) == sorted(public | {"__version__"})
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # A private alias of a public name (``require_finite as _require``) is fine.
+    import zenopdc
+
+    for path in Path(zenopdc.__file__).parent.glob("*.py"):
+        imports = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.ImportFrom)]
+        for node in imports:
+            if node.level or node.module.startswith("zenopdc"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from {node.module}"

@@ -27,7 +27,7 @@ from zenopdc import (
     vacuum_occupations,
 )
 from zenopdc import dynamics
-from zenopdc.dynamics import expm_i, split_transfer
+from zenopdc.dynamics import expm_i, occupation_numbers, split_transfer
 
 from conftest import draw_supported, supported_params
 
@@ -378,24 +378,26 @@ def _columns(cells):
     ]
 )
 def test_batch_is_bitwise_the_single_cell_propagation(cells):
-    u, v, ok = propagate_batch(*_columns(cells))
+    u, v, n, ok = propagate_batch(*_columns(cells))
     assert ok.all()
     for i, params in enumerate(cells):
         bmap = propagate_exact(params)
         assert np.array_equal(u[i], bmap.u_block)
         assert np.array_equal(v[i], bmap.v_block)
+        assert np.array_equal(n[i], occupation_numbers(bmap.v_block))
 
 
 def test_batch_flags_invalid_and_overflowing_cells_without_raising():
     gamma = [0.5, -1.0, math.nan, 0.5, 1000.0, 200.0, 0.0139]
     kappa = [1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 8.13e17]
     delta = [0.0] * 6 + [-1.35e14]
-    u, v, ok = propagate_batch(gamma, kappa, delta, [1.0, 1.0, 1.0, 1.0, 2.5, 2.5, 17.3])
+    u, v, n, ok = propagate_batch(gamma, kappa, delta, [1.0, 1.0, 1.0, 1.0, 2.5, 2.5, 17.3])
     # invalid: gamma < 0, gamma NaN, kappa < 0; not finite: the exponential
     # (gamma = 1000) and the occupations (gamma = 200); no significant digit:
     # kappa*L = 1.4e19 needs 63 squarings (n_s came back 1.2e44, not ~(2Γ/κ)² = 1e-39)
     assert ok.tolist() == [True, False, False, False, False, False, False]
     assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
+    assert np.isnan(n[1:]).all() and np.isfinite(n[0]).all()
     bmap = propagate_exact(CouplerParams(0.5, 1.0, 0.0, 1.0))
     assert np.array_equal(u[0], bmap.u_block) and np.array_equal(v[0], bmap.v_block)
     with pytest.raises(NumericError):
