@@ -10,6 +10,9 @@ dressed-check take only JSON.  All artifacts are byte-deterministic.  A
 sweep's artifact is streamed, row by row, as it is formatted, so memory stays
 at the sweep's own level; a write that fails midway leaves a truncated file
 (no temp file, no rename) and exits 2.
+Warnings (a flat ridge landscape) print after the artifact as one
+``warning: <message>`` line each, and only when the command succeeds; a
+failing command prints exactly one ``error:`` line on stderr.
 ``sweep --threads`` is deprecated: it is accepted and validated but changes
 neither the work nor the output, because sweeps run serially.
 
@@ -29,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from collections.abc import Iterable
 from dataclasses import asdict, astuple, fields
 from importlib import resources
@@ -205,6 +209,7 @@ def _json_grid(grid: np.ndarray):
 # stderr note or None): the pieces are strings, formatted lazily for a sweep
 # but only after all the work is done.  ``main`` writes them and only then
 # the note, so that a failed write leaves "error:" as the first line on stderr.
+# Warnings recorded meanwhile follow the note, on success only.
 
 
 def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
@@ -451,10 +456,13 @@ def main(argv=None) -> int:
             raise InvalidParameterError(
                 f"{args.command} supports only --format {' or '.join(args.formats)}, got {fmt!r}"
             )
-        pieces, code, note = args.func(args, config, fmt)
-        _write(pieces, out)
+        with warnings.catch_warnings(record=True) as caught:
+            pieces, code, note = args.func(args, config, fmt)
+            _write(pieces, out)
         if note:
             print(note, file=sys.stderr)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

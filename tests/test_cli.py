@@ -288,6 +288,23 @@ def test_ridge_at_huge_mismatch_returns():
     assert abs(point["kappa_opt"] - 1e10) <= math.sqrt(2.0) * 0.5
 
 
+def test_ridge_warning_is_one_stderr_line_after_the_artifact():
+    proc = run("ridge", "--delta", "5", "--length", "1e-7")
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["points"]) == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("warning: flat signal landscape")
+
+
+def test_ridge_failure_after_a_warning_prints_only_the_error():
+    # delta = 1e-300 warns of a flat landscape, then delta = 1e300 overflows its scan
+    proc = run("ridge", "--delta", "1e-300:1e300:2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_ridge_repeat_runs_are_byte_identical():
     for fmt in ("json", "csv"):
         first, second = (run("ridge", "--delta", "3:10:8", "--format", fmt) for _ in range(2))
@@ -511,7 +528,6 @@ _POINTS = st.tuples(_MAGNITUDE, _MAGNITUDE, _SIGNED, _MAGNITUDE)  # (Γ, κ, Δ,
 @example(point=(0.5, 0.0, 1e12, 1.0))  # beyond the ODE oracle's phase bound
 @example(point=(1e300, 1e-300, -1e300, 1e300))
 @example(point=(0.0, 0.0, 0.0, 0.0))
-@pytest.mark.filterwarnings("ignore::zenopdc.FlatLandscapeWarning")
 def test_extreme_parameters_exit_with_documented_codes(tmp_path, capsys, point):
     from zenopdc import cli
 

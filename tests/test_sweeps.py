@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,29 @@ def test_ridge_kappa_opt_is_the_maximizer_to_tolerance():
         _, _, n, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
         assert ok.all()
         assert n[:, 0].max() <= p.n_s_max * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("delta, calls", [(1e-9, 1), (3.0, 5), (5.0, 5), (10.0, 6), (1e10, 13)])
+def test_ridge_levels_are_bounded_and_never_lose_signal(monkeypatch, delta, calls):
+    # One _signal call per level: the scan, then ceil(log16(h / 1e-6)) zoom levels for the
+    # scan spacing h = 2Δ/256, however large κ is.
+    levels = []
+
+    def spy(gamma, kappa, delta, length):
+        n_s, ok = signal(gamma, kappa, delta, length)
+        levels.append(n_s.max())
+        return n_s, ok
+
+    signal = sweeps._signal
+    monkeypatch.setattr(sweeps, "_signal", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FlatLandscapeWarning)  # Δ = 1e-9 is flat
+        (point,) = find_anti_zeno_ridge(0.5, 1.5, [delta])
+    h = 2.0 * delta / 256.0
+    assert len(levels) == calls == 1 + max(0, math.ceil(math.log(h / 1e-6, 16)))
+    # the middle zoom offset re-evaluates κ_opt (bit-identically), so no level loses signal
+    assert all(a <= b for a, b in zip(levels, levels[1:]))
+    assert point.n_s_max == levels[-1]
 
 
 def test_ridge_input_validation():
