@@ -29,6 +29,7 @@ classification at kappa = 0); 4 sweep finished but some cells failed;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -299,10 +300,15 @@ def _sweep_json(spec: SweepSpec, grid):
 def _sweep_csv(spec: SweepSpec, grid):
     """One ``axis1,axis2,n_s,engine`` line per cell; a float prints as its repr (NaN as nan)."""
     yield "axis1,axis2,n_s,engine\n"
-    ys = list(map(repr, spec.axis2.grid().tolist()))
+    a2 = spec.axis2.grid()
+
+    @functools.lru_cache(maxsize=1)  # one slice of axis-2 reprs, reused by every row if axis 2 fits
+    def ys(j):
+        return list(map(repr, a2[j:j + _SLICE].tolist()))
+
     for x, values, tags in zip(map(repr, spec.axis1.grid().tolist()), grid.values, grid.provenance):
-        for j in range(0, len(ys), _SLICE):
-            cells = zip(ys[j:j + _SLICE], values[j:j + _SLICE].tolist(), tags[j:j + _SLICE].tolist())
+        for j in range(0, len(a2), _SLICE):
+            cells = zip(ys(j), values[j:j + _SLICE].tolist(), tags[j:j + _SLICE].tolist())
             yield "".join([f"{x},{y},{v!r},{t}\n" for y, v, t in cells])
 
 

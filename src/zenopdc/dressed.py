@@ -11,8 +11,9 @@ anti-freezing resonance, and its effective gain Γ/√2 slightly exceeds the
 ``propagate_dressed`` solves the dynamics entirely in this picture, with its
 own generator and rotating frame (phases Δ, ±κ per mode instead of the
 uniform Δ/2 used by ``dynamics.propagate_exact``), which makes it a genuinely
-independent route to the same occupations; only the last step,
-``dynamics.propagate_step``, and its finiteness rule are shared.
+independent route to the same occupations; only the kernel
+``dynamics.expm_i``, the last step ``dynamics.propagate_step`` and its
+finiteness rule are shared.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from numpy.typing import NDArray
 from .dynamics import (
     BogoliubovMap,
     ModeOccupations,
+    expm_i,
     frozen_map,
     propagate_step,
 )
@@ -73,7 +75,8 @@ def _dressed_blocks(gamma: float, kappa: float, delta: float, length):
     angles = np.zeros(np.shape(length) + (3,))
     with np.errstate(over="ignore"):
         angles[..., 0] = -delta * np.asarray(length)
-    u, v, n, ok = propagate_step(build_dressed_generator(gamma, kappa, delta), angles, length)
+    m = build_dressed_generator(gamma, kappa, delta)
+    u, v, n, ok = propagate_step(expm_i(m, length), angles)
     require_ok(ok, "dressed propagation")
     return u, v, n
 

@@ -14,10 +14,10 @@ constant real generator
          [ -Γ,  -Δ/2,  -κ  ],
          [  0,   -κ,  -Δ/2 ]].
 
-Every exact route is one :func:`propagate_step`: generators, per-row frame
-phases and lengths in, one call of :func:`expm_i` (the package's one
-matrix-exponential kernel), ``(u, v, n, ok)`` out: the blocks, their vacuum
-occupations ``n`` and the one finiteness rule ``ok`` (finite W and ``n``).
+Every exact route ends in one :func:`propagate_step`: exponents exp(i M L)
+from :func:`expm_i` (the package's one matrix-exponential kernel) and per-row
+frame phases in, ``(u, v, n, ok)`` out: the blocks, their vacuum occupations
+``n`` and the one finiteness rule ``ok`` (finite W and ``n``).
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of elementwise numpy calls over all cells.
@@ -25,6 +25,8 @@ each masked squaring is a handful of elementwise numpy calls over all cells.
 :class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
 it, and ``dressed`` runs its own frame through the same step.
+``propagate_lengths`` runs the same frame over a uniform length grid of one
+generator, each sample the product of two kernel outputs (semigroup law).
 ``propagate_ode`` is the independent numerical oracle: a numpy-only
 Dormand–Prince 5(4) pair integrates the time-dependent system directly, with
 no rotating frame and no matrix exponential, over t/L ∈ [0, 1].  It advances
@@ -34,6 +36,7 @@ phase limit and a step budget bound its work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +46,8 @@ from .params import (
     CouplerParams,
     IntegrationError,
     InvalidParameterError,
+    require_count,
+    require_finite,
     require_ok,
     valid_cells,
 )
@@ -218,17 +223,18 @@ def split_transfer(
     return u, v
 
 
-def propagate_step(m: NDArray[np.float64], angles, length):
-    """The one exact propagation step: W = diag(e^{iθ}) · exp(i m L), split into (U, V).
+def propagate_step(e: NDArray[np.complex128], angles):
+    """The one exact propagation step: W = diag(e^{iθ}) · e, split into (U, V).
 
-    ``m`` is a real generator or a stack (..., 3, 3), ``angles`` the frame
-    phases θ per row, shape ``stack + (3,)``, and ``length`` broadcasts over
-    the stack.  Returns stacked ``(u, v, n, ok)``: ``n`` holds the occupations
-    of :func:`occupation_numbers`, and ``ok`` marks the cells whose W and ``n``
+    ``e`` is the rotating-frame exponent exp(i m L) of one generator or a
+    stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`, and
+    ``angles`` the frame phases θ per row, shape ``stack + (3,)``.  Returns
+    stacked ``(u, v, n, ok)``: ``n`` holds the occupations of
+    :func:`occupation_numbers`, and ``ok`` marks the cells whose W and ``n``
     are finite.  Nothing raises or warns for the others.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(1j * np.asarray(angles))[..., :, None] * expm_i(m, length)
+        w = np.exp(1j * np.asarray(angles))[..., :, None] * e
     u, v = split_transfer(w)
     n = occupation_numbers(v)
     ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
@@ -256,7 +262,7 @@ def propagate_batch(gamma, kappa, delta, length):
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
     with np.errstate(over="ignore"):
         angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
-    u, v, n, finite = propagate_step(_generators(g, k, d), angles, t)
+    u, v, n, finite = propagate_step(expm_i(_generators(g, k, d), t), angles)
     ok &= finite
     for block in (u, v, n):
         block[~ok] = np.nan
@@ -273,6 +279,38 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     u, v, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
     require_ok(ok, "exact propagation")
     return frozen_map(u, v, params)
+
+
+def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: float, samples: int):
+    """Propagate one (Γ, κ, Δ) over the lengths ``np.linspace(0, length_max, samples)``.
+
+    The grid comes from the semigroup law exp(iM(a+b)) = exp(iMa)·exp(iMb):
+    with the spacing h, b = ⌊√(samples−1)⌋ + 1 and sample k = q·b + j, one
+    :func:`expm_i` call exponentiates the b fine lengths j·h and the
+    ⌈samples/b⌉ coarse lengths q·b·h (50 lengths for 601 samples), and each
+    sample is the 3×3 product of its two outputs, formed as three broadcast
+    multiply-adds.  Each sample is the product of exactly two kernel outputs,
+    so its rounding error does not grow along the grid as it would by
+    stepping.  The frame phases are those of :func:`propagate_batch`.
+    Returns the ``(u, v, n, ok)`` of :func:`propagate_step`, stacked over the
+    samples; a sample that is not finite gets ``ok = False`` and raises
+    nothing.  A rate or ``length_max`` that :class:`CouplerParams` would
+    reject, or a ``samples`` below 1, raises InvalidParameterError.
+    """
+    names = ("gamma", "kappa", "delta", "length_max")
+    gamma, kappa, delta, length_max = (
+        require_finite(name, value, nonnegative=name != "delta")
+        for name, value in zip(names, (gamma, kappa, delta, length_max))
+    )
+    b = math.isqrt(require_count("samples", samples, 1) - 1) + 1
+    steps = np.concatenate([np.arange(b), b * np.arange(-(-samples // b))])
+    e = expm_i(_generators(gamma, kappa, delta), steps * (length_max / max(samples - 1, 1)))
+    fine, coarse = e[:b, None], e[b:, None, :, :, None]  # broadcast to (coarse, fine, 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = coarse[..., 0, :] * fine[..., 0, :] + coarse[..., 1, :] * fine[..., 1, :]
+        grid += coarse[..., 2, :] * fine[..., 2, :]
+        angles = (0.5 * delta * np.linspace(0.0, length_max, samples))[:, None] * _FRAME_SIGNS
+    return propagate_step(grid.reshape(-1, 3, 3)[:samples], angles)
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:

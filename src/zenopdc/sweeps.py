@@ -8,11 +8,12 @@ memory stays flat in the grid size.  Every cell carries its engine
 provenance, and a stacked cell is bit-identical to its single-cell result,
 so repeated runs produce byte-identical artifacts.  Cell-level numerical
 failures are recorded as NaN with a "failed" tag rather than aborting the
-sweep.  The peak-over-length envelope is one stacked propagation too, and
+sweep.  The peak-over-length envelope is one length-grid propagation
+(:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N lengths), and
 the ridge propagates only in stacks: per Δ one 257-point κ scan (level 0)
 plus 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its
 bracket 16× until its half-width is ≤ 1e-6.  Each one reads n_s from the
-occupations that :func:`dynamics.propagate_batch` returns with its blocks.
+occupations that the propagation returns with its blocks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .closed_forms import closed_form_batch, covered
-from .dynamics import propagate_batch
+from .dynamics import propagate_batch, propagate_lengths
 from .params import (
     CouplerParams,
     FlatLandscapeWarning,
@@ -237,14 +238,9 @@ def max_signal_over_length(
 ) -> float:
     """Peak signal occupation over L ∈ [0, length_max] on a uniform grid.
 
-    The whole grid is one stacked propagation; a length at which it is not
-    finite raises NumericError.
+    The grid is one :func:`dynamics.propagate_lengths` call; a length at which
+    it is not finite raises NumericError.
     """
-    n_s, ok = _signal(
-        _require("gamma", gamma),
-        _require("kappa", kappa),
-        _require("delta", delta, nonnegative=False),
-        np.linspace(0.0, _require("length_max", length_max), require_count("samples", samples, 1)),
-    )
+    _, _, n, ok = propagate_lengths(gamma, kappa, delta, length_max, samples)
     require_ok(ok, "max_signal_over_length")
-    return float(n_s.max())
+    return float(n[:, 0].max())

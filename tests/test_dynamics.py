@@ -23,6 +23,7 @@ from zenopdc import (
     n_s_mismatched_uncoupled,
     propagate_batch,
     propagate_exact,
+    propagate_lengths,
     propagate_ode,
     vacuum_occupations,
 )
@@ -404,3 +405,43 @@ def test_batch_flags_invalid_and_overflowing_cells_without_raising():
         propagate_exact(CouplerParams(1000.0, 0.0, 0.0, 2.5))
     with pytest.raises(InvalidParameterError):
         propagate_batch([True], 0.0, 0.0, 1.0)
+
+
+#: (κ, Δ) at Γ = 0.5: κ = Γ at Δ = 0 and Δ = 2Γ at κ = 0 are defective generators.
+_GRID_CELLS = [(k, d) for k in (0.0, 0.5, 3.0, 20.0) for d in (0.0, 5.0)] + [(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("kappa, delta", _GRID_CELLS)
+def test_length_grid_matches_the_batch_on_its_linspace(kappa, delta):
+    for samples in (1, 2, 3, 601):
+        for length_max in (0.0, 3.0):
+            got = propagate_lengths(0.5, kappa, delta, length_max, samples)
+            want = propagate_batch(0.5, kappa, delta, np.linspace(0.0, length_max, samples))
+            assert got[3].shape == (samples,) and got[3].all() and want[3].all()
+            for x, y in zip(got[:3], want[:3]):
+                np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-15)
+            again = propagate_lengths(0.5, kappa, delta, length_max, samples)
+            assert all(np.array_equal(x, y) for x, y in zip(got, again))
+
+
+def test_length_grid_is_one_kernel_call_on_about_two_root_n_lengths(monkeypatch):
+    calls = []
+
+    def spy(m, t):
+        calls.append(np.size(t))
+        return expm_i(m, t)
+
+    monkeypatch.setattr(dynamics, "expm_i", spy)
+    propagate_lengths(0.5, 3.0, 5.0, 3.0, 601)
+    assert calls == [50]  # 25 fine and 25 coarse lengths
+
+
+def test_length_grid_flags_an_overflow_at_the_last_sample_only():
+    # n_s = sinh²(ΓL) overflows float64 past ΓL ≈ 355.6: 118.6·2.995 = 355.2 and 118.6·3 = 355.8.
+    _, _, n, ok = propagate_lengths(118.6, 0.0, 0.0, 3.0, 601)
+    assert ok[:-1].all() and not ok[-1]
+    assert np.isfinite(n[:-1]).all() and not np.isfinite(n[-1]).all()
+    for args in ((-0.5, 0.0, 0.0, 3.0, 601), (0.5, 0.0, math.nan, 3.0, 601),
+                 (0.5, 0.0, 0.0, -3.0, 601), (0.5, 0.0, 0.0, 3.0, 0), (0.5, 0.0, 0.0, 3.0, 2.0)):
+        with pytest.raises(InvalidParameterError):
+            propagate_lengths(*args)

@@ -207,9 +207,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 
 
 def test_max_signal_over_length_raises_on_overflow():
-    for gamma in (200.0, 1000.0):  # occupations overflow / the exponential overflows
+    # occupations overflow / the exponential overflows / only the last of 601 occupations overflows
+    for gamma, length_max in ((200.0, 2.5), (1000.0, 2.5), (118.6, 3.0)):
         with pytest.raises(NumericError):
-            max_signal_over_length(gamma, 0.0, 0.0, 2.5)
+            max_signal_over_length(gamma, 0.0, 0.0, length_max)
     with pytest.raises(InvalidParameterError):
         max_signal_over_length(0.5, -1.0, 0.0, 2.5)
 
