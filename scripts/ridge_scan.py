@@ -30,7 +30,7 @@ def main() -> int:
     points = find_anti_zeno_ridge(args.gamma, args.length, deltas)
 
     # The unprobed (kappa = 0) signal at every ridge delta, in one stacked propagation.
-    _, _, n, ok = propagate_batch(args.gamma, 0.0, [p.delta for p in points], args.length)
+    _, n, ok = propagate_batch(args.gamma, 0.0, [p.delta for p in points], args.length)
     require_ok(ok, "unprobed signal")
     lines = ["delta,kappa_opt,n_s_max,n_s_unprobed,enhancement"]
     for p, unprobed in zip(points, n[:, 0].tolist()):

@@ -12,8 +12,8 @@ anti-freezing resonance, and its effective gain Γ/√2 slightly exceeds the
 own generator and rotating frame (phases Δ, ±κ per mode instead of the
 uniform Δ/2 used by ``dynamics.propagate_exact``), which makes it a genuinely
 independent route to the same occupations; only the kernel
-``dynamics.expm_i``, the last step ``dynamics.propagate_step`` and its
-finiteness rule are shared.
+``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (W and ``n``)
+and its finiteness rule are shared.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .dynamics import (
     expm_i,
     frozen_map,
     propagate_step,
+    split_transfer,
 )
 from .params import CouplerParams, DomainError, InvalidParameterError, require_ok, valid_cells
 from .params import require_finite as _require
@@ -64,8 +65,8 @@ def build_dressed_generator(gamma: float, kappa: float, delta: float) -> NDArray
     )
 
 
-def _dressed_blocks(gamma: float, kappa: float, delta: float, length):
-    """Original-picture (U, V) blocks on (s, c, d) and occupations, stacked over ``length``.
+def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
+    """Original-picture W on (s, c, d) and occupations, stacked over ``length``.
 
     The dressed rotating frame is unwound mode-wise: the e^{∓iκt} phases on
     (c, d) cancel exactly against their dressed energy shifts, so only the
@@ -76,15 +77,15 @@ def _dressed_blocks(gamma: float, kappa: float, delta: float, length):
     with np.errstate(over="ignore"):
         angles[..., 0] = -delta * np.asarray(length)
     m = build_dressed_generator(gamma, kappa, delta)
-    u, v, n, ok = propagate_step(expm_i(m, length), angles)
+    w, n, ok = propagate_step(expm_i(m, length), angles)
     require_ok(ok, "dressed propagation")
-    return u, v, n
+    return w, n
 
 
 def dressed_bogoliubov_map(params: CouplerParams) -> BogoliubovMap:
     """Full Bogoliubov map over (s, c, d) in the original interaction picture."""
-    u, v, _ = _dressed_blocks(params.gamma, params.kappa, params.delta, params.length)
-    return frozen_map(u, v, params, modes=DRESSED_MODES)
+    w, _ = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
+    return frozen_map(*split_transfer(w), params, modes=DRESSED_MODES)
 
 
 def propagate_dressed(params: CouplerParams) -> ModeOccupations:
@@ -97,8 +98,9 @@ def propagate_dressed(params: CouplerParams) -> ModeOccupations:
 
     with <c†d> = Σ_β conj(V_cβ) V_dβ for vacuum input.
     """
-    _, v, n = _dressed_blocks(params.gamma, params.kappa, params.delta, params.length)
+    w, n = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
     n_s, n_c, n_d = map(float, n)
+    v = split_transfer(w)[1]
     coherence = float(np.sum(np.conj(v[1]) * v[2]).real)
     half = 0.5 * (n_c + n_d)
     return ModeOccupations(
@@ -139,7 +141,7 @@ def resonant_vs_qpm(
     *_, ls, ok = valid_cells(gamma, 0.0, delta, lengths)
     if not np.all(ok):
         raise InvalidParameterError(f"lengths must be finite and >= 0, got {lengths!r}")
-    _, _, n = _dressed_blocks(gamma, abs(delta), delta, ls)
+    _, n = _dressed_transfer(gamma, abs(delta), delta, ls)
     return {
         "lengths": ls,
         "resonant": n[..., 0],

@@ -16,8 +16,8 @@ constant real generator
 
 Every exact route ends in one :func:`propagate_step`: exponents exp(i M L)
 from :func:`expm_i` (the package's one matrix-exponential kernel) and per-row
-frame phases in, ``(u, v, n, ok)`` out: the blocks, their vacuum occupations
-``n`` and the one finiteness rule ``ok`` (finite W and ``n``).
+frame phases in, ``(w, n, ok)`` out: W, its vacuum occupations ``n`` and
+the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of elementwise numpy calls over all cells.
@@ -224,21 +224,21 @@ def split_transfer(
 
 
 def propagate_step(e: NDArray[np.complex128], angles):
-    """The one exact propagation step: W = diag(e^{iθ}) · e, split into (U, V).
+    """The one exact propagation step: the transfer matrix W = diag(e^{iθ}) · e.
 
     ``e`` is the rotating-frame exponent exp(i m L) of one generator or a
     stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`, and
     ``angles`` the frame phases θ per row, shape ``stack + (3,)``.  Returns
-    stacked ``(u, v, n, ok)``: ``n`` holds the occupations of
-    :func:`occupation_numbers`, and ``ok`` marks the cells whose W and ``n``
-    are finite.  Nothing raises or warns for the others.
+    stacked ``(w, n, ok)``: ``n`` holds the occupations, read from the four
+    V entries of W, and ``ok`` marks the cells whose W and ``n`` are finite.
+    Nothing raises or warns for the others.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(1j * np.asarray(angles))[..., :, None] * e
-    u, v = split_transfer(w)
-    n = occupation_numbers(v)
+        n = np.abs(w[..., (0, 1, 2), (1, 0, 0)]) ** 2  # |W01|², |W10|², |W20|²
+        n[..., 0] += np.abs(w[..., 0, 2]) ** 2  # n_s = |W01|² + |W02|²
     ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
-    return u, v, n, ok
+    return w, n, ok
 
 
 def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
@@ -251,22 +251,21 @@ def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> B
 def propagate_batch(gamma, kappa, delta, length):
     """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
 
-    Returns ``(u, v, n, ok)``: the stacked Bogoliubov blocks, shape
+    Returns ``(w, n, ok)``: the stacked transfer matrices W, shape
     ``broadcast + (3, 3)``, their vacuum occupations (n_s, n_i, n_b) and a
     boolean mask of the broadcast shape.  A cell that :func:`params.valid_cells`
     rejects, or whose exponential or occupations are not finite, gets
-    ``ok = False`` and NaN blocks and occupations; nothing is raised for it.
+    ``ok = False`` and NaN W and occupations; nothing is raised for it.
     :func:`propagate_exact` is one cell of it.
     """
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
     with np.errstate(over="ignore"):
         angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
-    u, v, n, finite = propagate_step(expm_i(_generators(g, k, d), t), angles)
+    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), angles)
     ok &= finite
-    for block in (u, v, n):
-        block[~ok] = np.nan
-    return u, v, n, ok
+    w[~ok] = n[~ok] = np.nan
+    return w, n, ok
 
 
 def propagate_exact(params: CouplerParams) -> BogoliubovMap:
@@ -276,9 +275,9 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     original-frame operators; a cell whose exponential or vacuum occupations
     are not finite raises NumericError.
     """
-    u, v, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
+    w, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
     require_ok(ok, "exact propagation")
-    return frozen_map(u, v, params)
+    return frozen_map(*split_transfer(w), params)
 
 
 def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: float, samples: int):
@@ -292,7 +291,7 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     multiply-adds.  Each sample is the product of exactly two kernel outputs,
     so its rounding error does not grow along the grid as it would by
     stepping.  The frame phases are those of :func:`propagate_batch`.
-    Returns the ``(u, v, n, ok)`` of :func:`propagate_step`, stacked over the
+    Returns the ``(w, n, ok)`` of :func:`propagate_step`, stacked over the
     samples; a sample that is not finite gets ``ok = False`` and raises
     nothing.  A rate or ``length_max`` that :class:`CouplerParams` would
     reject, or a ``samples`` below 1, raises InvalidParameterError.
@@ -333,8 +332,7 @@ def propagate_ode(params: CouplerParams) -> BogoliubovMap:
     global error stays within the documented 10x agreement contract.
     """
     rates = (np.array([rate * params.length]) for rate in (params.gamma, params.kappa, params.delta))
-    w = _ode_transfer(*rates)[0]
-    return frozen_map(*split_transfer(w), params)
+    return frozen_map(*split_transfer(_ode_transfer(*rates)[0]), params)
 
 
 def _ode_transfer(g, k, d) -> NDArray[np.complex128]:

@@ -240,9 +240,9 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
     the product of the other two wherever that is non-zero, and a smaller
     complex pair is rescaled to |z|² = -c0/λ_real; the other reported values
     stay physical (a discriminant that underflows reads 0).
-    ``boundary_kappas`` holds the weak-gain approximate pair when it exists,
-    None when it does not.  Raises NumericError when the coefficients, the
-    discriminant or the boundary pair overflow float64.
+    ``boundary_kappas`` holds the :func:`boundary_exact` pair (the window
+    the tag agrees with) or None.  Raises NumericError when the coefficients
+    or the discriminant overflow float64.
     """
     coeffs = characteristic_cubic(params)
     try:
@@ -274,8 +274,8 @@ def classify_regime(params: CouplerParams) -> RegimeReport:
         roots[1:] = [z * (math.sqrt(modulus2) / abs(z)) for z in roots[1:]]
     roots = tuple(r * z for z in roots)
     try:
-        boundaries: tuple[float, float] | None = regime_boundaries(params.gamma, params.delta)
-    except DomainError:
+        boundaries: tuple[float, float] | None = boundary_exact(params.gamma, params.delta)
+    except (DomainError, BoundaryNotFoundError):
         boundaries = None
     return RegimeReport(
         coefficients=coeffs,

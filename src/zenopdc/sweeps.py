@@ -13,7 +13,7 @@ sweep.  The peak-over-length envelope is one length-grid propagation
 the ridge propagates only in stacks: per Δ one 257-point κ scan (level 0)
 plus 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its
 bracket 16× until its half-width is ≤ 1e-6.  Each one reads n_s from the
-occupations that the propagation returns with its blocks.
+occupations that the propagation returns with W.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class RidgePoint:
 
 def _signal(gamma, kappa, delta, length) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Signal occupations of one stacked propagation, and its per-cell ok mask."""
-    _, _, n, ok = propagate_batch(gamma, kappa, delta, length)
+    _, n, ok = propagate_batch(gamma, kappa, delta, length)
     return n[..., 0], ok
 
 
@@ -241,6 +241,6 @@ def max_signal_over_length(
     The grid is one :func:`dynamics.propagate_lengths` call; a length at which
     it is not finite raises NumericError.
     """
-    _, _, n, ok = propagate_lengths(gamma, kappa, delta, length_max, samples)
+    _, n, ok = propagate_lengths(gamma, kappa, delta, length_max, samples)
     require_ok(ok, "max_signal_over_length")
     return float(n[:, 0].max())

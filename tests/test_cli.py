@@ -141,9 +141,9 @@ def test_classify_report_and_hint():
     assert report["coefficients"] == {"c2": 10.0, "c1": 9.25, "c0": 1.25}
     assert len(report["roots"]) == 3
     assert "regime: oscillatory" in proc.stderr
-    k1, k2 = report["boundary_kappas"]
-    assert k1 == pytest.approx(5.6961449956848424, abs=1e-9)
-    assert k2 == pytest.approx(4.278309501208921, abs=1e-9)
+    k1, k2 = report["boundary_kappas"]  # the exact pair, not the weak-gain one
+    assert k1 == pytest.approx(5.6957821840512715, abs=1e-9)
+    assert k2 == pytest.approx(4.278866281779467, abs=1e-9)
 
     proc = run("classify", "--gamma", "0.5", "--kappa", "0", "--delta", "5")
     assert proc.returncode == 3

@@ -379,8 +379,9 @@ def _columns(cells):
     ]
 )
 def test_batch_is_bitwise_the_single_cell_propagation(cells):
-    u, v, n, ok = propagate_batch(*_columns(cells))
+    w, n, ok = propagate_batch(*_columns(cells))
     assert ok.all()
+    u, v = split_transfer(w)
     for i, params in enumerate(cells):
         bmap = propagate_exact(params)
         assert np.array_equal(u[i], bmap.u_block)
@@ -388,19 +389,35 @@ def test_batch_is_bitwise_the_single_cell_propagation(cells):
         assert np.array_equal(n[i], occupation_numbers(bmap.v_block))
 
 
+@pytest.mark.parametrize("cells", [1, 33, 601])
+def test_step_occupations_are_bitwise_those_of_the_split_blocks(cells):
+    # n comes from four entries of W: it must be bitwise the row sums of the V block, and ok
+    # the rule on W and those sums, also where W is finite but its squares overflow.
+    rng = np.random.default_rng(cells)
+    g, k, d, t = (rng.uniform(lo, hi, cells) for lo, hi in ((0, 2), (0, 10), (-10, 10), (0, 3)))
+    g[::3], t[::3] = 200.0, 2.5
+    e = expm_i(dynamics._generators(g, k, d), t)
+    w, n, ok = dynamics.propagate_step(e, rng.uniform(-50.0, 50.0, (cells, 3)))
+    want = occupation_numbers(split_transfer(w)[1])
+    assert np.array_equal(n, want)
+    assert np.array_equal(ok, np.isfinite(w).all(axis=(1, 2)) & np.isfinite(want).all(axis=1))
+    assert np.isfinite(w).all() and not ok[::3].any() and ok[1::3].all() and ok[2::3].all()
+
+
 def test_batch_flags_invalid_and_overflowing_cells_without_raising():
     gamma = [0.5, -1.0, math.nan, 0.5, 1000.0, 200.0, 0.0139]
     kappa = [1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 8.13e17]
     delta = [0.0] * 6 + [-1.35e14]
-    u, v, n, ok = propagate_batch(gamma, kappa, delta, [1.0, 1.0, 1.0, 1.0, 2.5, 2.5, 17.3])
+    w, n, ok = propagate_batch(gamma, kappa, delta, [1.0, 1.0, 1.0, 1.0, 2.5, 2.5, 17.3])
     # invalid: gamma < 0, gamma NaN, kappa < 0; not finite: the exponential
     # (gamma = 1000) and the occupations (gamma = 200); no significant digit:
     # kappa*L = 1.4e19 needs 63 squarings (n_s came back 1.2e44, not ~(2Γ/κ)² = 1e-39)
     assert ok.tolist() == [True, False, False, False, False, False, False]
-    assert np.isnan(u[1:]).all() and np.isnan(v[1:]).all()
+    assert np.isnan(w[1:]).all()
     assert np.isnan(n[1:]).all() and np.isfinite(n[0]).all()
     bmap = propagate_exact(CouplerParams(0.5, 1.0, 0.0, 1.0))
-    assert np.array_equal(u[0], bmap.u_block) and np.array_equal(v[0], bmap.v_block)
+    u, v = split_transfer(w[0])
+    assert np.array_equal(u, bmap.u_block) and np.array_equal(v, bmap.v_block)
     with pytest.raises(NumericError):
         propagate_exact(CouplerParams(1000.0, 0.0, 0.0, 2.5))
     with pytest.raises(InvalidParameterError):
@@ -417,8 +434,8 @@ def test_length_grid_matches_the_batch_on_its_linspace(kappa, delta):
         for length_max in (0.0, 3.0):
             got = propagate_lengths(0.5, kappa, delta, length_max, samples)
             want = propagate_batch(0.5, kappa, delta, np.linspace(0.0, length_max, samples))
-            assert got[3].shape == (samples,) and got[3].all() and want[3].all()
-            for x, y in zip(got[:3], want[:3]):
+            assert got[2].shape == (samples,) and got[2].all() and want[2].all()
+            for x, y in zip(got[:2], want[:2]):
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-15)
             again = propagate_lengths(0.5, kappa, delta, length_max, samples)
             assert all(np.array_equal(x, y) for x, y in zip(got, again))
@@ -438,7 +455,7 @@ def test_length_grid_is_one_kernel_call_on_about_two_root_n_lengths(monkeypatch)
 
 def test_length_grid_flags_an_overflow_at_the_last_sample_only():
     # n_s = sinh²(ΓL) overflows float64 past ΓL ≈ 355.6: 118.6·2.995 = 355.2 and 118.6·3 = 355.8.
-    _, _, n, ok = propagate_lengths(118.6, 0.0, 0.0, 3.0, 601)
+    _, n, ok = propagate_lengths(118.6, 0.0, 0.0, 3.0, 601)
     assert ok[:-1].all() and not ok[-1]
     assert np.isfinite(n[:-1]).all() and not np.isfinite(n[-1]).all()
     for args in ((-0.5, 0.0, 0.0, 3.0, 601), (0.5, 0.0, math.nan, 3.0, 601),

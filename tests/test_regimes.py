@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenopdc import (
@@ -141,17 +141,35 @@ def test_regimes_flip_across_boundaries():
     assert classify_regime(_params(0.5, k1 + 0.05, 5.0)).regime == REGIME_OSCILLATORY
 
 
-def test_report_carries_approximate_boundaries():
+def test_report_carries_exact_boundaries():
     report = classify_regime(_params(0.5, 4.0, 5.0))
-    assert report.boundary_kappas == pytest.approx(regime_boundaries(0.5, 5.0))
-    # when the approximation has no real solution the field is None
-    report = classify_regime(_params(1.0, 1.0, 1.0))
-    assert report.boundary_kappas is None
+    assert report.boundary_kappas == boundary_exact(0.5, 5.0)
+    # no exact pair at |delta| <= 2 gamma, even where the weak-gain formula has one
+    for gamma, kappa, delta in ((1.0, 1.0, 1.0), (1.6, 0.8, 0.3)):
+        with pytest.raises(BoundaryNotFoundError):
+            boundary_exact(gamma, delta)
+        assert classify_regime(_params(gamma, kappa, delta)).boundary_kappas is None
+    assert regime_boundaries(1.6, 0.3) == pytest.approx((2.29949, 1.60386), abs=1e-5)
     # at gamma*delta = 0 the pair coincides (kappa1 = kappa2): no window either
     for gamma, kappa, delta in ((0.5, 1.0, 0.0), (0.0, 4.0, 5.0)):
-        with pytest.raises(DomainError):
-            regime_boundaries(gamma, delta)
+        for bounds in (regime_boundaries, boundary_exact):
+            with pytest.raises(DomainError):
+                bounds(gamma, delta)
         assert classify_regime(_params(gamma, kappa, delta)).boundary_kappas is None
+
+
+@settings(deadline=None, max_examples=300)
+@given(_finite(0.0, 2.0), _finite(0.01, 12.0), _finite(-10.0, 10.0))
+@example(1.5, 1.05, 3.6)  # the weak-gain window (1.03029, 5.62214) held kappa
+@example(1.6, 0.8, 0.3)  # the weak-gain window (1.60386, 2.29949) exists at |delta| < 2 gamma
+def test_reported_window_agrees_with_the_tag(gamma, kappa, delta):
+    # kappa lies strictly inside the reported window exactly when the tag is hyperbolic.  The
+    # "boundary" tag marks the points whose unit discriminant lies within its tolerance.
+    report = classify_regime(_params(gamma, kappa, delta))
+    if report.boundary_kappas is None or report.regime == REGIME_BOUNDARY:
+        return
+    k1, k2 = report.boundary_kappas
+    assert (k2 < kappa < k1) == (report.regime == REGIME_HYPERBOLIC)
 
 
 def test_boundary_exact_domain_errors():

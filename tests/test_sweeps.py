@@ -1,6 +1,7 @@
 """Grid sweeps and ridge tracking: determinism, provenance, failures."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -26,8 +27,9 @@ from zenopdc import (
     sweep_2d,
 )
 from zenopdc.closed_forms import closed_form_occupations, n_s_mismatched_uncoupled
+from zenopdc.dressed import dressed_bogoliubov_map, resonant_vs_qpm
 from zenopdc.dynamics import propagate_batch, propagate_exact, vacuum_occupations
-from zenopdc import sweeps
+from zenopdc import dressed, dynamics, sweeps
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
 
 
@@ -187,23 +189,45 @@ def test_row_batches_match_the_cell_by_cell_sweep(engine, chunk, monkeypatch):
     assert TAG_FAILED not in provenance[1:, 0]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sweep_memory_does_not_grow_with_the_row():
     # One axis-1 row of 200 000 cells: chunked, the stacked work stays a few MiB, and the
     # growth is the values and provenance grids (≈29 MiB); one stack per row took ≈310 MiB.
+    # VmHWM is the child's own peak; ru_maxrss carries over the peak of pytest's process.
     code = """
-import resource
 from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
+def peak():
+    status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+    return int(status["VmHWM"].split()[0]) / 1024
 spec = SweepSpec(fixed=CouplerParams(0.5, 0.0, 1.0, 1.5), axis1=SweepAxis("gamma", 0.1, 0.5, 2),
                  axis2=SweepAxis("kappa", 0.0, 10.0, 200_000))
 sweep_2d(SweepSpec(spec.fixed, spec.axis1, SweepAxis("kappa", 0.0, 10.0, 2)))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 grid = sweep_2d(spec)
 assert grid.failures == 0
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+print(peak() - before)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 120.0  # MiB
+    assert float(proc.stdout) < 48.0  # MiB
+
+
+def test_stacked_paths_never_split_the_transfer_matrix(monkeypatch):
+    # Only a map builder splits W into (U, V); every stacked path reads n from the step.
+    def refuse(w):
+        raise AssertionError("split_transfer on a stacked path")
+
+    for module in (dynamics, dressed):
+        monkeypatch.setattr(module, "split_transfer", refuse)
+    fixed = CouplerParams(0.5, 0.0, 1.0, 1.5)
+    for engine in (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE):
+        assert sweep_2d(SweepSpec(fixed, _axis(), _axis("delta", -1.0, 1.0, 3), engine)).failures == 0
+    max_signal_over_length(0.5, 3.0, 5.0, 3.0)
+    find_anti_zeno_ridge(0.5, 1.5, [3.0])
+    resonant_vs_qpm(0.5, 3.0, [0.0, 1.0, 2.0])
+    for build in (propagate_exact, dressed_bogoliubov_map):  # the patch is live where maps are built
+        with pytest.raises(AssertionError):
+            build(fixed)
 
 
 def test_max_signal_over_length_raises_on_overflow():
@@ -244,7 +268,7 @@ def test_ridge_kappa_opt_is_the_maximizer_to_tolerance():
     tol = 1e-6
     for p in find_anti_zeno_ridge(0.5, 1.5, [3.0, 5.0, 8.0, 10.0]):
         kappas = p.kappa_opt + tol * np.linspace(-4.0, 4.0, 33)
-        _, _, n, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
+        _, n, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
         assert ok.all()
         assert n[:, 0].max() <= p.n_s_max * (1.0 + 1e-12)
 
