@@ -12,8 +12,8 @@ anti-freezing resonance, and its effective gain Γ/√2 slightly exceeds the
 own generator and rotating frame (phases Δ, ±κ per mode instead of the
 uniform Δ/2 used by ``dynamics.propagate_exact``), which makes it a genuinely
 independent route to the same occupations; only the kernel
-``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (W and ``n``)
-and its finiteness rule are shared.
+``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (phase factors
+(e^{-iΔL}, 1, 1) in, W and ``n`` out) and its finiteness rule are shared.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
     signal row needs the factor e^{-iΔL}.  A cell that is not finite raises
     NumericError.
     """
-    angles = np.zeros(np.shape(length) + (3,))
-    with np.errstate(over="ignore"):
-        angles[..., 0] = -delta * np.asarray(length)
+    phases = np.ones(np.shape(length) + (3,), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases[..., 0] = np.exp(1j * (-delta * np.asarray(length)))
     m = build_dressed_generator(gamma, kappa, delta)
-    w, n, ok = propagate_step(expm_i(m, length), angles)
+    w, n, ok = propagate_step(expm_i(m, length), phases)
     require_ok(ok, "dressed propagation")
     return w, n
 

@@ -16,17 +16,18 @@ constant real generator
 
 Every exact route ends in one :func:`propagate_step`: exponents exp(i M L)
 from :func:`expm_i` (the package's one matrix-exponential kernel) and per-row
-frame phases in, ``(w, n, ok)`` out: W, its vacuum occupations ``n`` and
-the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
+frame phase factors in, ``(w, n, ok)`` out: W, its vacuum occupations ``n``
+and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of elementwise numpy calls over all cells.
 :func:`params.require_ok` raises on a failed mask and :func:`frozen_map` builds every
 :class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
-e^{∓iΔL/2}) over arrays of (Γ, κ, Δ, L), ``propagate_exact`` is one cell of
-it, and ``dressed`` runs its own frame through the same step.
-``propagate_lengths`` runs the same frame over a uniform length grid of one
-generator, each sample the product of two kernel outputs (semigroup law).
+e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
+``propagate_exact`` is one cell of it, and ``dressed`` runs its own frame
+through the same step.  ``propagate_lengths`` runs the same frame over a
+uniform length grid of one generator, each sample the product of two kernel
+outputs (semigroup law), all formed in one complex matrix product.
 ``propagate_ode`` is the independent numerical oracle: a numpy-only
 Dormand–Prince 5(4) pair integrates the time-dependent system directly, with
 no rotating frame and no matrix exponential, over t/L ∈ [0, 1].  It advances
@@ -84,9 +85,6 @@ _DP_SAFETY, _DP_MIN_FACTOR, _DP_MAX_FACTOR = 0.9, 0.2, 10.0
 #: unit of the phase limit, three times the most a phase needs (≈63 per unit, measured at
 #: (Γ, κ, Δ)·L = (300, 1e3, 1e3)).
 _ODE_STEP_BUDGET = 200 * int(ODE_PHASE_LIMIT)
-
-#: Frame-phase angles per row of (a_s†, a_i, b), in units of ΔL/2.
-_FRAME_SIGNS = np.array([-1.0, 1.0, 1.0])
 
 #: Padé [13/13] coefficients b_0 … b_13 of exp (Higham 2005, eq. 2.11).
 _PADE_13 = (
@@ -223,22 +221,29 @@ def split_transfer(
     return u, v
 
 
-def propagate_step(e: NDArray[np.complex128], angles):
-    """The one exact propagation step: the transfer matrix W = diag(e^{iθ}) · e.
+def propagate_step(e: NDArray[np.complex128], phases):
+    """The one exact propagation step: the transfer matrix W = diag(phases) · e.
 
     ``e`` is the rotating-frame exponent exp(i m L) of one generator or a
     stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`, and
-    ``angles`` the frame phases θ per row, shape ``stack + (3,)``.  Returns
+    ``phases`` the frame phase factors e^{iθ} per row, shape ``stack + (3,)``.  Returns
     stacked ``(w, n, ok)``: ``n`` holds the occupations, read from the four
     V entries of W, and ``ok`` marks the cells whose W and ``n`` are finite.
     Nothing raises or warns for the others.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(1j * np.asarray(angles))[..., :, None] * e
+        w = np.asarray(phases)[..., :, None] * e
         n = np.abs(w[..., (0, 1, 2), (1, 0, 0)]) ** 2  # |W01|², |W10|², |W20|²
         n[..., 0] += np.abs(w[..., 0, 2]) ** 2  # n_s = |W01|² + |W02|²
     ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
     return w, n, ok
+
+
+def _frame_phases(delta, length):
+    """(e^{-ih}, e^{ih}, e^{ih}) per cell with h = ΔL/2, from one exponential; never warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.exp(1j * (0.5 * delta * length))[..., None]
+    return np.concatenate((p.conj(), p, p), axis=-1)
 
 
 def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
@@ -260,9 +265,7 @@ def propagate_batch(gamma, kappa, delta, length):
     """
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
-    with np.errstate(over="ignore"):
-        angles = (0.5 * d * t)[..., None] * _FRAME_SIGNS
-    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), angles)
+    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), _frame_phases(d, t))
     ok &= finite
     w[~ok] = n[~ok] = np.nan
     return w, n, ok
@@ -286,9 +289,9 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     The grid comes from the semigroup law exp(iM(a+b)) = exp(iMa)·exp(iMb):
     with the spacing h, b = ⌊√(samples−1)⌋ + 1 and sample k = q·b + j, one
     :func:`expm_i` call exponentiates the b fine lengths j·h and the
-    ⌈samples/b⌉ coarse lengths q·b·h (50 lengths for 601 samples), and each
-    sample is the 3×3 product of its two outputs, formed as three broadcast
-    multiply-adds.  Each sample is the product of exactly two kernel outputs,
+    ⌈samples/b⌉ coarse lengths q·b·h (50 lengths for 601 samples), and all
+    coarse·fine 3×3 products are one complex matrix product with inner
+    dimension 3.  Each sample is the product of exactly two kernel outputs,
     so its rounding error does not grow along the grid as it would by
     stepping.  The frame phases are those of :func:`propagate_batch`.
     Returns the ``(w, n, ok)`` of :func:`propagate_step`, stacked over the
@@ -304,12 +307,10 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     b = math.isqrt(require_count("samples", samples, 1) - 1) + 1
     steps = np.concatenate([np.arange(b), b * np.arange(-(-samples // b))])
     e = expm_i(_generators(gamma, kappa, delta), steps * (length_max / max(samples - 1, 1)))
-    fine, coarse = e[:b, None], e[b:, None, :, :, None]  # broadcast to (coarse, fine, 3, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = coarse[..., 0, :] * fine[..., 0, :] + coarse[..., 1, :] * fine[..., 1, :]
-        grid += coarse[..., 2, :] * fine[..., 2, :]
-        angles = (0.5 * delta * np.linspace(0.0, length_max, samples))[:, None] * _FRAME_SIGNS
-    return propagate_step(grid.reshape(-1, 3, 3)[:samples], angles)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows (q, i), columns (j, l)
+        grid = e[b:].reshape(-1, 3) @ e[:b].transpose(1, 0, 2).reshape(3, -1)
+    grid = grid.reshape(-1, 3, b, 3).swapaxes(1, 2).reshape(-1, 3, 3)[:samples]
+    return propagate_step(grid, _frame_phases(delta, np.linspace(0.0, length_max, samples)))
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -397,7 +398,7 @@ def test_step_occupations_are_bitwise_those_of_the_split_blocks(cells):
     g, k, d, t = (rng.uniform(lo, hi, cells) for lo, hi in ((0, 2), (0, 10), (-10, 10), (0, 3)))
     g[::3], t[::3] = 200.0, 2.5
     e = expm_i(dynamics._generators(g, k, d), t)
-    w, n, ok = dynamics.propagate_step(e, rng.uniform(-50.0, 50.0, (cells, 3)))
+    w, n, ok = dynamics.propagate_step(e, np.exp(1j * rng.uniform(-50.0, 50.0, (cells, 3))))
     want = occupation_numbers(split_transfer(w)[1])
     assert np.array_equal(n, want)
     assert np.array_equal(ok, np.isfinite(w).all(axis=(1, 2)) & np.isfinite(want).all(axis=1))
@@ -439,6 +440,59 @@ def test_length_grid_matches_the_batch_on_its_linspace(kappa, delta):
                 np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-15)
             again = propagate_lengths(0.5, kappa, delta, length_max, samples)
             assert all(np.array_equal(x, y) for x, y in zip(got, again))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [0.0, 5.0])
+@pytest.mark.parametrize("samples", [26, 27, 577, 602, 626])
+def test_length_grid_product_matches_the_batch_at_block_edges(samples, delta):
+    # 26, 577 and 626 are b² + 1 for b = 5, 24, 25 (the block size steps up there), and
+    # every count leaves the last coarse block of the matrix product partly unused.
+    got = propagate_lengths(0.5, 3.0, delta, 3.0, samples)
+    want = propagate_batch(0.5, 3.0, delta, np.linspace(0.0, 3.0, samples))
+    assert got[2].shape == (samples,) and got[2].all() and want[2].all()
+    for x, y in zip(got[:2], want[:2]):
+        np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-15)
+
+
+def test_length_grid_bytes_do_not_depend_on_blas_threads():
+    # The grid is one complex matrix product; with inner dimension 3 a thread split
+    # must not change a byte of (w, n, ok).
+    code = (
+        "import hashlib\n"
+        "from zenopdc import propagate_lengths\n"
+        "w, n, ok = propagate_lengths(0.5, 3.0, 5.0, 3.0, 40001)\n"
+        "print(hashlib.sha256(w.tobytes() + n.tobytes() + ok.tobytes()).hexdigest())\n"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_occupations_are_bitwise_those_of_three_phase_exponentials():
+    # The frame phases come from one exponential per cell and its conjugate; n and ok must be
+    # bitwise those of exponentiating the angles (-h, h, h), h = ΔL/2, row by row, also at
+    # L = 0 and where ΔL overflows.
+    rng = np.random.default_rng(22)
+    g, k, d, t = (rng.uniform(lo, hi, 601) for lo, hi in ((0, 2), (0, 10), (-10, 10), (0, 3)))
+    t[::4] = 0.0
+    d[1::4], t[1::4] = 1e308, 10.0
+    _, n, ok = propagate_batch(g, k, d, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = (0.5 * d * t)[:, None] * np.array([-1.0, 1.0, 1.0])
+        w = np.exp(1j * angles)[:, :, None] * expm_i(dynamics._generators(g, k, d), t)
+        want = np.abs(w[:, (0, 1, 2), (1, 0, 0)]) ** 2
+        want[:, 0] += np.abs(w[:, 0, 2]) ** 2
+    want_ok = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(want).all(axis=1)
+    assert np.array_equal(ok, want_ok) and np.array_equal(n[ok], want[ok])
+    assert ok[::4].all() and not ok[1::4].any() and ok[2::4].all() and ok[3::4].all()
+    assert np.isnan(n[~ok]).all()
 
 
 def test_length_grid_is_one_kernel_call_on_about_two_root_n_lengths(monkeypatch):

@@ -1,12 +1,14 @@
-"""Smoke runs of the two data scripts under ``scripts/``, each into a temporary directory."""
+"""Smoke runs of the scripts under ``scripts/``, each into a temporary directory."""
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zenopdc import closed_form_batch
 
@@ -56,3 +58,20 @@ def test_ridge_scan_writes_the_ridge_and_its_fit(tmp_path):
     assert (ridge["enhancement"] > 1.0).all()
     slope = float(stdout.split("kappa_opt = ")[1].split()[0])
     assert 0.9 <= slope <= 1.1
+
+
+def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
+    head = shutil.which("git") and subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS,
+                                                  capture_output=True).returncode == 0
+    if not head:
+        pytest.skip("needs git and a repository with a commit")
+    out = tmp_path / "pairs.json"
+    stdout = _run("bench_pairs.py", "--smoke", "--workloads", "zeno_envelope",
+                  "--workdir", str(tmp_path), "--out", str(out))
+    doc = json.loads(out.read_text())
+    assert doc["runs_correct"] == doc["runs_total"] == 2
+    summary = doc["summary"]["zeno_envelope"]
+    assert set(summary) == {"setup_s", "pass_ref", "peak_rss_mib"}
+    assert all(metric["pairs"] == 1 for metric in summary.values())
+    assert "zeno_envelope  pass_ref" in stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]  # trees removed
