@@ -8,12 +8,14 @@ tree's ``src/`` and ``scripts/`` copied over, so both sides run the same
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-once in each tree with PYTHONDONTWRITEBYTECODE=1 (so each run compiles the
-package, as the benchmark's fresh checkouts do); odd seeds run the parent
-first, even seeds the change.  It prints, per workload and end-to-end metric
-of BENCHMARK.json, both medians, the pairs the change won and whether its
+once in each tree, S being BENCHMARK.json's ``run_seconds``, with
+PYTHONDONTWRITEBYTECODE=1 (so each run compiles the package, as the
+benchmark's fresh checkouts do); odd seeds run the parent first, even seeds
+the change.  It prints, per workload and end-to-end metric of
+BENCHMARK.json, both medians, the pairs the change won and whether its
 median is within the metric's bound; ``--out`` writes the runs and that
-summary as JSON.  Run from anywhere inside the repository:
+summary as JSON.  The trees live in a temporary directory under ``TMPDIR``.
+Run from anywhere inside the repository:
 
     python3 scripts/bench_pairs.py --base HEAD --pairs 10 --out BENCH.json
     python3 scripts/bench_pairs.py --smoke --workloads zeno_envelope
@@ -127,15 +129,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10, help="seeds 1..PAIRS, one pair each")
-    parser.add_argument("--seconds", type=float, default=20.0, help="timed budget of each run")
     parser.add_argument("--workloads", help="comma-separated subset (default: all)")
     parser.add_argument("--smoke", action="store_true", help="one pair of two-pass runs")
     parser.add_argument("--out", type=Path, help="write runs and summary as JSON here")
-    parser.add_argument("--workdir", type=Path, help="parent directory of the temporary trees")
     args = parser.parse_args(argv)
     pairs = 1 if args.smoke else args.pairs
 
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = build_trees(args.base, Path(tmp))
         spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in spec["workloads"]]
@@ -147,7 +147,8 @@ def main(argv=None) -> int:
             for workload in workloads:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds, args.smoke)
+                    pair[side] = run_once(trees[side], workload, seed, spec["run_seconds"],
+                                          args.smoke)
                 runs[workload].append(pair)
                 print(f"seed {seed} {workload}: " + ", ".join(
                     f"{side} {pair[side]['metrics'].get('pass_ref', float('nan')):.4g}"
@@ -166,8 +167,9 @@ def main(argv=None) -> int:
     all_runs = [pair[side] for pairs_ in runs.values() for pair in pairs_ for side in SIDES]
     correct = all(r["correct"] for r in all_runs)
     if args.out:
-        doc = {"base": args.base, "pairs": pairs, "seconds": args.seconds, "smoke": args.smoke,
-               "machine": machine(), "runs_correct": sum(r["correct"] for r in all_runs),
+        doc = {"base": args.base, "pairs": pairs, "seconds": spec["run_seconds"],
+               "smoke": args.smoke, "machine": machine(),
+               "runs_correct": sum(r["correct"] for r in all_runs),
                "runs_total": len(all_runs), "summary": summary, "runs": runs}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1

@@ -417,7 +417,6 @@ def _add_command(sub, name: str, func, summary: str, keys, formats=("json",), fl
     return p
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenopdc",

@@ -434,28 +434,6 @@ def test_classify_at_zero_mismatch_reports_no_window(capsys):
     assert captured.err.startswith("regime: ") and "window" not in captured.err
 
 
-def test_one_process_runs_commands_in_turn_on_one_parser(tmp_path, capsys):
-    from zenopdc import cli
-
-    failing = tmp_path / "failing.json"
-    failing.write_text(json.dumps({
-        "fixed": {"length": 2.5},
-        "axis1": {"name": "gamma", "start": 200.0, "stop": 500.0, "count": 2},
-        "axis2": {"name": "length", "start": 2.5, "stop": 3.0, "count": 2},
-    }))
-    assert cli.main(["classify", "--gamma", "0.5", "--kappa", "1", "--delta", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["command"] == "classify" and report["regime"] == "oscillatory"
-    assert cli.main(["simulate"]) == 0  # no flag of the classify call carries over
-    report = json.loads(capsys.readouterr().out)
-    assert report["command"] == "simulate"
-    assert report["params"] == {"gamma": 0.5, "kappa": 0.0, "delta": 0.0, "length": 1.0}
-    assert cli.main(["sweep", "--config", str(failing)]) == cli.EXIT_CELL_FAILURES
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["failures"] == 4
-    assert cli.build_parser() is cli.build_parser()
-
-
 def test_unreadable_config_exits_2(tmp_path, capsys):
     from zenopdc import cli
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -15,9 +16,9 @@ from zenopdc import closed_form_batch
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _run(script: str, *args: str) -> str:
+def _run(script: str, *args: str, env=None) -> str:
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -66,8 +67,8 @@ def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
     if not head:
         pytest.skip("needs git and a repository with a commit")
     out = tmp_path / "pairs.json"
-    stdout = _run("bench_pairs.py", "--smoke", "--workloads", "zeno_envelope",
-                  "--workdir", str(tmp_path), "--out", str(out))
+    stdout = _run("bench_pairs.py", "--smoke", "--workloads", "zeno_envelope", "--out", str(out),
+                  env=dict(os.environ, TMPDIR=str(tmp_path)))
     doc = json.loads(out.read_text())
     assert doc["runs_correct"] == doc["runs_total"] == 2
     summary = doc["summary"]["zeno_envelope"]
