@@ -14,7 +14,8 @@ benchmark's fresh checkouts do); odd seeds run the parent first, even seeds
 the change.  It prints, per workload and end-to-end metric of
 BENCHMARK.json, both medians, the pairs the change won and whether its
 median is within the metric's bound; ``--out`` writes the runs and that
-summary as JSON.  The trees live in a temporary directory under ``TMPDIR``.
+summary as JSON, with the ``machine`` block of the first run's detail line.
+The trees live in a temporary directory under ``TMPDIR``.
 Run from anywhere inside the repository:
 
     python3 scripts/bench_pairs.py --base HEAD --pairs 10 --out BENCH.json
@@ -30,14 +31,12 @@ import argparse
 import io
 import json
 import os
-import platform
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
-from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,20 +62,25 @@ def build_trees(base: str, workdir: Path) -> dict[str, Path]:
     return trees
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """The result line of one benchmark run, or a failed record if it did not finish."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             smoke: bool) -> tuple[dict, dict | None]:
+    """The result line of one benchmark run and the ``machine`` block of its detail line.
+
+    A run that did not finish gives a failed record and no machine block.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", *(["--smoke"] if smoke else [])]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                           timeout=60 + 20 * seconds)
     try:
-        result = json.loads(proc.stdout.splitlines()[-1])
-        return {"correct": result["correct"], "failed": result["failed"],
-                "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
-    except (IndexError, KeyError, TypeError, ValueError):
-        return {"correct": False, "failed": None, "metrics": {},
-                "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}
+        detail, result = map(json.loads, proc.stdout.splitlines()[-2:])
+        return ({"correct": result["correct"], "failed": result["failed"],
+                 "metrics": {name: m["value"] for name, m in result["metrics"].items()}},
+                detail["machine"])
+    except (KeyError, TypeError, ValueError):
+        return ({"correct": False, "failed": None, "metrics": {},
+                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}, None)
 
 
 def spread(values: list[float]) -> dict:
@@ -106,25 +110,6 @@ def summarize(runs: list[dict], metric: dict) -> dict:
     }
 
 
-def machine() -> dict:
-    info = {"python": platform.python_version(), "nproc": os.cpu_count(),
-            "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}}
-    for module in ("numpy", "scipy"):
-        try:
-            info[module] = metadata.version(module)
-        except metadata.PackageNotFoundError:
-            info[module] = None
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                info["cpu"] = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return info
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision of the parent side")
@@ -142,13 +127,15 @@ def main(argv=None) -> int:
         if args.workloads:
             workloads = [w for w in workloads if w in args.workloads.split(",")]
         runs = {w: [] for w in workloads}
+        machine = None  # perfbench's own record, from the first run that printed one
         for seed in range(1, pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             for workload in workloads:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(trees[side], workload, seed, spec["run_seconds"],
-                                          args.smoke)
+                    pair[side], seen = run_once(trees[side], workload, seed,
+                                                spec["run_seconds"], args.smoke)
+                    machine = machine or seen
                 runs[workload].append(pair)
                 print(f"seed {seed} {workload}: " + ", ".join(
                     f"{side} {pair[side]['metrics'].get('pass_ref', float('nan')):.4g}"
@@ -168,7 +155,7 @@ def main(argv=None) -> int:
     correct = all(r["correct"] for r in all_runs)
     if args.out:
         doc = {"base": args.base, "pairs": pairs, "seconds": spec["run_seconds"],
-               "smoke": args.smoke, "machine": machine(),
+               "smoke": args.smoke, "machine": machine,
                "runs_correct": sum(r["correct"] for r in all_runs),
                "runs_total": len(all_runs), "summary": summary, "runs": runs}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

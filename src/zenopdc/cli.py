@@ -80,12 +80,10 @@ _PARAM_HELP = {
     "delta": "pump phase mismatch (1/length)",
     "length": "interaction length",
 }
-_BUNDLED_CONFIGS = {
-    "fig2": "fig2.json",
-    "fig2.json": "fig2.json",
-    "fig3": "fig3.json",
-    "fig3.json": "fig3.json",
-}
+#: Configs shipped in the package, named with or without ".json".
+_BUNDLED_CONFIGS = ("fig2", "fig3")
+#: Engines of ``simulate``.
+_SIMULATE_ENGINES = ("exact", "ode", "closed-form")
 #: Result keys a sweep artifact carries beyond its spec; accepted and ignored
 #: on re-ingest so that a sweep's JSON output is itself a valid config.
 _SWEEP_RESULT_KEYS = frozenset({"values", "provenance", "failures"})
@@ -97,10 +95,10 @@ _SWEEP_RESULT_KEYS = frozenset({"values", "provenance", "failures"})
 def _read_config(spec: str) -> dict:
     path = Path(spec)
     if not path.exists():
-        bundled = _BUNDLED_CONFIGS.get(spec)
-        if bundled is None:
+        name = spec.removesuffix(".json")
+        if name not in _BUNDLED_CONFIGS:
             raise InvalidParameterError(f"config not found: {spec}")
-        path = resources.files("zenopdc").joinpath("configs", bundled)
+        path = resources.files("zenopdc").joinpath("configs", f"{name}.json")
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -216,10 +214,9 @@ def _json_grid(grid: np.ndarray):
 def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
-    if engine not in ("exact", "ode", "closed-form"):
-        raise InvalidParameterError(
-            f"engine must be exact, ode, or closed-form, got {engine!r}"
-        )
+    if engine not in _SIMULATE_ENGINES:
+        *rest, last = _SIMULATE_ENGINES
+        raise InvalidParameterError(f"engine must be {', '.join(rest)}, or {last}, got {engine!r}")
 
     branch = None
     residual = None
@@ -326,11 +323,7 @@ def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[Iterable[str], int,
         )
     direct = vacuum_occupations(propagate_exact(params))
     dressed = propagate_dressed(params)
-    residual = max(
-        abs(direct.n_s - dressed.n_s),
-        abs(direct.n_i - dressed.n_i),
-        abs(direct.n_b - dressed.n_b),
-    )
+    residual = max(abs(a - b) for a, b in zip(astuple(direct), astuple(dressed)))
     if params.gamma > 0.0:
         resonant, qpm = qpm_comparison(params.gamma)
         qpm_doc = {"resonant_gain": resonant, "qpm_gain": qpm, "ratio": resonant / qpm}
@@ -426,8 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "simulate", cmd_simulate, "occupations for one parameter point",
                      keys={*PARAM_AXES, "engine"})
-    p.add_argument("--engine", choices=("exact", "ode", "closed-form"),
-                   help="propagation engine (default exact)")
+    p.add_argument("--engine", choices=_SIMULATE_ENGINES, help="propagation engine (default exact)")
 
     _add_command(sub, "classify", cmd_classify, "dynamical regime from the frequency cubic",
                  keys=PARAM_AXES)

@@ -27,7 +27,6 @@ from .dynamics import (
     BogoliubovMap,
     ModeOccupations,
     expm_i,
-    frozen_map,
     propagate_step,
     split_transfer,
 )
@@ -85,7 +84,7 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
 def dressed_bogoliubov_map(params: CouplerParams) -> BogoliubovMap:
     """Full Bogoliubov map over (s, c, d) in the original interaction picture."""
     w, _ = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
-    return frozen_map(*split_transfer(w), params, modes=DRESSED_MODES)
+    return BogoliubovMap(*split_transfer(w), params, modes=DRESSED_MODES)
 
 
 def propagate_dressed(params: CouplerParams) -> ModeOccupations:

@@ -21,8 +21,8 @@ and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split 
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of elementwise numpy calls over all cells.
-:func:`params.require_ok` raises on a failed mask and :func:`frozen_map` builds every
-:class:`BogoliubovMap`.  ``propagate_batch`` runs the frame above (phases
+:func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
+write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
 ``propagate_exact`` is one cell of it, and ``dressed`` runs its own frame
 through the same step.  ``propagate_lengths`` runs the same frame over a
@@ -48,7 +48,6 @@ from .params import (
     IntegrationError,
     InvalidParameterError,
     require_count,
-    require_finite,
     require_ok,
     valid_cells,
 )
@@ -116,13 +115,18 @@ class BogoliubovMap:
     (default signal/idler/probe).  A physical map satisfies
     U U† - V V† = I and U Vᵀ symmetric; see :func:`check_symplectic`.
     ``params`` records the generating parameters so that maps can be chained
-    with the correct frame-phase bookkeeping (:func:`compose`).
+    with the correct frame-phase bookkeeping (:func:`compose`).  Construction
+    write-protects both blocks in place.
     """
 
     u_block: NDArray[np.complex128]
     v_block: NDArray[np.complex128]
     params: CouplerParams
     modes: tuple[str, ...] = MODES
+
+    def __post_init__(self) -> None:
+        self.u_block.setflags(write=False)
+        self.v_block.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -246,13 +250,6 @@ def _frame_phases(delta, length):
     return np.concatenate((p.conj(), p, p), axis=-1)
 
 
-def frozen_map(u, v, params: CouplerParams, modes: tuple[str, ...] = MODES) -> BogoliubovMap:
-    """Write-protect the (U, V) blocks in place and wrap them as a :class:`BogoliubovMap`."""
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return BogoliubovMap(u_block=u, v_block=v, params=params, modes=modes)
-
-
 def propagate_batch(gamma, kappa, delta, length):
     """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
 
@@ -280,7 +277,7 @@ def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     """
     w, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
     require_ok(ok, "exact propagation")
-    return frozen_map(*split_transfer(w), params)
+    return BogoliubovMap(*split_transfer(w), params)
 
 
 def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: float, samples: int):
@@ -296,21 +293,18 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     stepping.  The frame phases are those of :func:`propagate_batch`.
     Returns the ``(w, n, ok)`` of :func:`propagate_step`, stacked over the
     samples; a sample that is not finite gets ``ok = False`` and raises
-    nothing.  A rate or ``length_max`` that :class:`CouplerParams` would
-    reject, or a ``samples`` below 1, raises InvalidParameterError.
+    nothing.  The rates and ``length_max`` are validated as one
+    :class:`CouplerParams`, so a bad ``length_max`` is reported as ``length``;
+    that, or a ``samples`` that is not an int >= 1, raises InvalidParameterError.
     """
-    names = ("gamma", "kappa", "delta", "length_max")
-    gamma, kappa, delta, length_max = (
-        require_finite(name, value, nonnegative=name != "delta")
-        for name, value in zip(names, (gamma, kappa, delta, length_max))
-    )
+    p = CouplerParams(gamma, kappa, delta, length_max)
     b = math.isqrt(require_count("samples", samples, 1) - 1) + 1
     steps = np.concatenate([np.arange(b), b * np.arange(-(-samples // b))])
-    e = expm_i(_generators(gamma, kappa, delta), steps * (length_max / max(samples - 1, 1)))
+    e = expm_i(build_generator(p), steps * (p.length / max(samples - 1, 1)))
     with np.errstate(over="ignore", invalid="ignore"):  # rows (q, i), columns (j, l)
         grid = e[b:].reshape(-1, 3) @ e[:b].transpose(1, 0, 2).reshape(3, -1)
     grid = grid.reshape(-1, 3, b, 3).swapaxes(1, 2).reshape(-1, 3, 3)[:samples]
-    return propagate_step(grid, _frame_phases(delta, np.linspace(0.0, length_max, samples)))
+    return propagate_step(grid, _frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:
@@ -333,7 +327,7 @@ def propagate_ode(params: CouplerParams) -> BogoliubovMap:
     global error stays within the documented 10x agreement contract.
     """
     rates = (np.array([rate * params.length]) for rate in (params.gamma, params.kappa, params.delta))
-    return frozen_map(*split_transfer(_ode_transfer(*rates)[0]), params)
+    return BogoliubovMap(*split_transfer(_ode_transfer(*rates)[0]), params)
 
 
 def _ode_transfer(g, k, d) -> NDArray[np.complex128]:
@@ -452,7 +446,7 @@ def compose(second: BogoliubovMap, first: BogoliubovMap) -> BogoliubovMap:
     u2, v2 = second.u_block, second.v_block
     u = u2 @ u1 + phase * (v2 @ np.conj(v1))
     v = u2 @ v1 + phase * (v2 @ np.conj(u1))
-    return frozen_map(u, v, replace(p1, length=p1.length + p2.length), first.modes)
+    return BogoliubovMap(u, v, replace(p1, length=p1.length + p2.length), first.modes)
 
 
 def __getattr__(name: str):

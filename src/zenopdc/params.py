@@ -46,7 +46,8 @@ class FlatLandscapeWarning(UserWarning):
     """A maximization scan found an (almost) flat objective."""
 
 
-_FIELD_NAMES = ("gamma", "kappa", "delta", "length")
+#: The parameter names, in :class:`CouplerParams` field order; a sweep axis varies one of them.
+PARAM_AXES = ("gamma", "kappa", "delta", "length")
 _NONNEGATIVE = ("gamma", "kappa", "length")
 
 
@@ -113,7 +114,7 @@ def valid_cells(gamma, kappa, delta, length):
     """
     fields = [
         _real(name, values, name in _NONNEGATIVE)
-        for name, values in zip(_FIELD_NAMES, (gamma, kappa, delta, length))
+        for name, values in zip(PARAM_AXES, (gamma, kappa, delta, length))
     ]
     ok = np.ones(np.broadcast_shapes(*(x.shape for x, _ in fields)), dtype=bool)
     for _, valid in fields:
@@ -148,7 +149,7 @@ class CouplerParams:
     length: float
 
     def __post_init__(self) -> None:
-        for name in _FIELD_NAMES:
+        for name in PARAM_AXES:
             value = require_finite(name, getattr(self, name), nonnegative=name in _NONNEGATIVE)
             object.__setattr__(self, name, value)
 

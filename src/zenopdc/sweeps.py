@@ -27,6 +27,7 @@ from numpy.typing import NDArray
 from .closed_forms import closed_form_batch, covered
 from .dynamics import propagate_batch, propagate_lengths
 from .params import (
+    PARAM_AXES,
     CouplerParams,
     FlatLandscapeWarning,
     InvalidParameterError,
@@ -36,9 +37,6 @@ from .params import (
     require_ok,
 )
 
-#: Parameter names a sweep axis may vary.
-PARAM_AXES = ("gamma", "kappa", "delta", "length")
-
 ENGINE_NUMERIC = "numeric"
 ENGINE_CLOSED_WHEN_APPLICABLE = "closed_form_when_applicable"
 ENGINES = (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE)
@@ -46,8 +44,9 @@ ENGINES = (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE)
 TAG_NUMERIC = "numeric"
 TAG_CLOSED = "closed_form"
 TAG_FAILED = "failed"
-#: dtype of a sweep's provenance grid, its largest array.
-_PROVENANCE = "<U16"
+#: dtype of a sweep's provenance grid, its largest array: as wide as its longest tag,
+#: 44 bytes per cell.
+_PROVENANCE = f"<U{max(map(len, (TAG_NUMERIC, TAG_CLOSED, TAG_FAILED)))}"
 
 #: Cells per stacked call of :func:`sweep_2d`: memory stays flat in the grid size, and
 #: fig3 took ≈28 ms in chunks of 512 against ≈45 ms in rows of 101 (2-core guest).

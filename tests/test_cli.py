@@ -658,9 +658,10 @@ def test_streamed_sweep_artifacts_are_the_whole_text_bytes(tmp_path, capsys, nam
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sweep_artifact_memory_stays_at_the_sweeps(tmp_path):
-    # 2 x 200 000 cells: sweep_2d's grids grow the peak RSS by ≈29 MiB.  Built whole, the
-    # artifact grew it by 156 MiB (JSON) and 184 MiB (CSV); streamed, by ≈30 MiB (JSON) and
-    # ≈53 MiB (CSV, holding all 200 000 axis-2 reprs) and, one slice of reprs at a time, ≈31.
+    # 2 x 200 000 cells: sweep_2d's grids grow the peak RSS by ≈21.7 MiB (44-byte <U11
+    # provenance; <U16 tags made it ≈29.4).  Built whole, the artifact grew it by 156 MiB (JSON)
+    # and 184 MiB (CSV); streamed, one slice of axis-2 reprs at a time, it grows it by
+    # ≈21.8 MiB (JSON) and ≈23.6 MiB (CSV).
     # VmHWM is the peak of the child's own image: ru_maxrss carries over the peak of the
     # pytest process it was forked from, which can hide the growth.  The artifacts are not
     # named big.json, which would overwrite the config that the CSV run reads.
@@ -688,7 +689,7 @@ for fmt in ("json", "csv"):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     growth_json, growth_csv = map(float, proc.stdout.split())
-    assert growth_json < 64.0 and growth_csv < 40.0  # MiB
+    assert growth_json < 26.0 and growth_csv < 28.0  # MiB
     assert (tmp_path / "big_out.csv").read_text().count("\n") == 1 + 2 * 200_000
 
 

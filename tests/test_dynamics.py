@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenopdc import (
+    BogoliubovMap,
     CouplerParams,
     IntegrationError,
     InvalidParameterError,
@@ -65,6 +66,22 @@ def test_map_blocks_are_write_protected():
         bmap.u_block[0, 0] = 0.0
     with pytest.raises(ValueError):
         bmap.v_block[0, 0] = 0.0
+
+
+def test_every_map_is_read_only():
+    # The class write-protects its blocks, also when built by hand from writable arrays.
+    params = CouplerParams(0.5, 1.0, 0.3, 1.2)
+    exact = propagate_exact(params)
+    maps = [
+        BogoliubovMap(np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex), params),
+        exact,
+        propagate_ode(params),
+        compose(exact, exact),
+        dressed_bogoliubov_map(params),
+    ]
+    for bmap in maps:
+        assert not bmap.u_block.flags.writeable
+        assert not bmap.v_block.flags.writeable
 
 
 @settings(deadline=None)
@@ -514,3 +531,36 @@ def test_length_grid_flags_an_overflow_at_the_last_sample_only():
                  (0.5, 0.0, 0.0, -3.0, 601), (0.5, 0.0, 0.0, 3.0, 0), (0.5, 0.0, 0.0, 3.0, 2.0)):
         with pytest.raises(InvalidParameterError):
             propagate_lengths(*args)
+
+
+def _rate_cases():
+    """One bad or edge value per argument of propagate_lengths; only a negative Δ is valid."""
+    base = (0.5, 3.0, 5.0, 3.0)
+    for i, name in enumerate(("gamma", "kappa", "delta", "length_max")):
+        for value in (math.nan, math.inf, -math.inf, -1.0, True, "1.0"):
+            accepted = name == "delta" and value == -1.0
+            args = (*base[:i], value, *base[i + 1:])
+            yield pytest.param(args, accepted, id=f"{name}={value!r}")
+
+
+@pytest.mark.parametrize("args, accepted", list(_rate_cases()))
+def test_length_grid_rejects_exactly_what_coupler_params_rejects(args, accepted):
+    # The rates and length_max are one CouplerParams, so the message names length_max "length".
+    try:
+        CouplerParams(*args)
+        expected = None
+    except InvalidParameterError as exc:
+        expected = str(exc)
+    assert (expected is None) == accepted
+    if accepted:
+        assert propagate_lengths(*args, 61)[2].all()
+    else:
+        with pytest.raises(InvalidParameterError) as caught:
+            propagate_lengths(*args, 61)
+        assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("samples", [0, True, 1.5])
+def test_length_grid_rejects_a_sample_count_that_is_not_an_int_of_at_least_1(samples):
+    with pytest.raises(InvalidParameterError):
+        propagate_lengths(0.5, 3.0, 5.0, 3.0, samples)

@@ -71,6 +71,7 @@ def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
                   env=dict(os.environ, TMPDIR=str(tmp_path)))
     doc = json.loads(out.read_text())
     assert doc["runs_correct"] == doc["runs_total"] == 2
+    assert {"nproc", "numpy", "blas"} <= set(doc["machine"])  # perfbench's own record
     summary = doc["summary"]["zeno_envelope"]
     assert set(summary) == {"setup_s", "pass_ref", "peak_rss_mib"}
     assert all(metric["pairs"] == 1 for metric in summary.values())
