@@ -84,10 +84,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
 
 
 def spread(values: list[float]) -> dict:
-    if len(values) == 1:
-        return {"median": values[0], "q1": values[0], "q3": values[0], "runs": values}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values),
+            "runs": values}
 
 
 def summarize(runs: list[dict], metric: dict) -> dict:
@@ -108,6 +108,18 @@ def summarize(runs: list[dict], metric: dict) -> dict:
         "within_bound": -gain <= metric["bound"] * parent["median"],
         "gain_beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
     }
+
+
+def bound_note(s: dict) -> str:
+    """Empty within the bound; beyond it, whether the change median lies in the parent's range.
+
+    A change median inside the parent's own min-max is a crossing that the parent's
+    run-to-run noise alone could produce.
+    """
+    if s["within_bound"]:
+        return ""
+    inside = s["parent"]["min"] <= s["change"]["median"] <= s["parent"]["max"]
+    return "  BEYOND BOUND (inside parent range)" if inside else "  BEYOND BOUND"
 
 
 def main(argv=None) -> int:
@@ -146,11 +158,12 @@ def main(argv=None) -> int:
     for workload, metrics in summary.items():
         for name, s in metrics.items():
             if s["pairs"]:
-                print(f"{workload:14s} {name:13s} parent {s['parent']['median']:.4g} "
+                parent = s["parent"]
+                print(f"{workload:14s} {name:13s} parent {parent['median']:.4g} "
+                      f"(q1-q3 {parent['q1']:.4g}-{parent['q3']:.4g}) "
                       f"change {s['change']['median']:.4g} "
                       f"({s['median_ratio_change_over_parent'] - 1:+.1%}) "
-                      f"wins {s['change_wins']}/{s['pairs']}"
-                      f"{'' if s['within_bound'] else '  BEYOND BOUND'}")
+                      f"wins {s['change_wins']}/{s['pairs']}{bound_note(s)}")
     all_runs = [pair[side] for pairs_ in runs.values() for pair in pairs_ for side in SIDES]
     correct = all(r["correct"] for r in all_runs)
     if args.out:

@@ -116,7 +116,7 @@ class BogoliubovMap:
     U U† - V V† = I and U Vᵀ symmetric; see :func:`check_symplectic`.
     ``params`` records the generating parameters so that maps can be chained
     with the correct frame-phase bookkeeping (:func:`compose`).  Construction
-    write-protects both blocks in place.
+    write-protects both blocks, copying first a block that views another array.
     """
 
     u_block: NDArray[np.complex128]
@@ -125,8 +125,10 @@ class BogoliubovMap:
     modes: tuple[str, ...] = MODES
 
     def __post_init__(self) -> None:
-        self.u_block.setflags(write=False)
-        self.v_block.setflags(write=False)
+        for name in ("u_block", "v_block"):
+            if getattr(self, name).base is not None:
+                object.__setattr__(self, name, getattr(self, name).copy())
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)

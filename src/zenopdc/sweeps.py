@@ -10,10 +10,11 @@ so repeated runs produce byte-identical artifacts.  Cell-level numerical
 failures are recorded as NaN with a "failed" tag rather than aborting the
 sweep.  The peak-over-length envelope is one length-grid propagation
 (:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N lengths), and
-the ridge propagates only in stacks: per Δ one 257-point κ scan (level 0)
-plus 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its
-bracket 16× until its half-width is ≤ 1e-6.  Each one reads n_s from the
-occupations that the propagation returns with W.
+the ridge propagates only in stacks: per Δ one 257-point κ scan, then
+4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its bracket 16×
+until its half-width is ≤ 1e-6.  The zoom levels are evaluated in chains, so
+a Δ takes ≈2 stacked calls.  Each one reads n_s from the occupations that
+the propagation returns with W.
 """
 
 from __future__ import annotations
@@ -173,13 +174,16 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
 def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint]:
     """Locate the coupling κ_opt that maximizes n_s at each mismatch Δ.
 
-    For each Δ every level is one stacked propagation whose argmax becomes
-    the new κ.  Level 0 scans κ ∈ [0, 2Δ] in 257 points; each zoom level after
-    it evaluates 33 points on κ ± w, clamped to κ >= 0, while w shrinks 16×,
-    from the scan spacing h until w <= 1e-6: one scan plus ⌈log₁₆(h/1e-6)⌉
-    zoom levels per Δ (4–5 at Δ ∈ [3, 10]).  κ stays among its points, so
-    n_s_max never decreases, and the level count stays bounded for any κ.  On
-    the ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).
+    For each Δ every level's argmax becomes the new κ.  Level 0 scans
+    κ ∈ [0, 2Δ] in 257 points; each zoom level after it evaluates 33 points on
+    κ ± w, clamped to κ >= 0, while w shrinks 16×, from the scan spacing h until
+    w <= 1e-6: one scan plus ⌈log₁₆(h/1e-6)⌉ zoom levels per Δ (4–5 at
+    Δ ∈ [3, 10]).  κ stays among its points, so n_s_max never decreases, and
+    the level count stays bounded for any κ.  After the scan, each stacked call
+    evaluates the next level with the predicted levels after it
+    (:func:`_zoom_chain`) and keeps those built around the argmax before them:
+    ≈2 calls per Δ, with every result, error and warning of a level-by-level walk.
+    On the ridge κ_opt tracks Δ (slope ~1, see :func:`ridge_linearity`).
     Emits FlatLandscapeWarning when the scan sees no structure to refine.
     """
     gamma = _require("gamma", gamma)
@@ -192,27 +196,50 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
         if delta <= 0.0:
             raise InvalidParameterError(f"ridge deltas must be > 0, got {delta}")
         kappas = np.linspace(0.0, _require("ridge scan end 2*delta", 2.0 * delta), _SCAN_POINTS)
-        w, level = float(kappas[1]), "scan"  # w starts at the scan spacing
-        while True:
-            n_s, ok = _signal(gamma, kappas, delta, length)
-            require_ok(ok, f"ridge {level} at delta={delta}")
-            # Variation below one part in 1e6 is indistinguishable from the
-            # rounding noise of near-identity maps (noise floor ~1e-7 relative),
-            # so the argmax would track noise, not physics.
-            if level == "scan" and n_s.max() <= n_s.min() * (1.0 + 1e-6):
-                warnings.warn(
-                    f"flat signal landscape at delta={delta}; refinement is meaningless",
-                    FlatLandscapeWarning,
-                    stacklevel=2,
-                )
-            best = int(np.argmax(n_s))
-            k_opt, n_max = float(kappas[best]), float(n_s[best])
-            if w <= _TOL:
-                break
-            # The middle offset is exactly 0, so k_opt itself is re-evaluated.
-            kappas, w, level = np.maximum(k_opt + w * _ZOOM_OFFSETS, 0.0), w / 16.0, "zoom"
-        points.append(RidgePoint(delta=delta, kappa_opt=k_opt, n_s_max=n_max))
+        n_s, ok = _signal(gamma, kappas, delta, length)
+        require_ok(ok, f"ridge scan at delta={delta}")
+        # Variation below one part in 1e6 is indistinguishable from the rounding noise of
+        # near-identity maps (~1e-7 relative), so the argmax would track noise, not physics.
+        if n_s.max() <= n_s.min() * (1.0 + 1e-6):
+            warnings.warn(f"flat signal landscape at delta={delta}; refinement is meaningless",
+                          FlatLandscapeWarning, stacklevel=2)
+        best, w = int(np.argmax(n_s)), float(kappas[1])  # w starts at the scan spacing
+        while w > _TOL:
+            centers, grids = _zoom_chain(kappas, n_s, best, w)
+            n_all, ok_all = _signal(gamma, np.concatenate(grids), delta, length)
+            levels = zip(centers, grids, np.split(n_all, len(grids)), np.split(ok_all, len(grids)))
+            for center, grid, n, ok in levels:
+                if center != kappas[best]:  # a missed prediction: chain again from here
+                    break
+                require_ok(ok, f"ridge zoom at delta={delta}")
+                kappas, n_s, best, w = grid, n, int(np.argmax(n)), w / 16.0
+        points.append(RidgePoint(delta, float(kappas[best]), float(n_s[best])))
     return points
+
+
+def _zoom_chain(kappas, n_s, best, w) -> tuple[list[float], list[NDArray[np.float64]]]:
+    """Centres and grids of the zoom levels after a known one, down to w <= 1e-6.
+
+    The first is built around the known argmax, so it is exact; each later one
+    around a predicted argmax of the grid before it: its point nearest the vertex
+    of the parabola through the known argmax and its neighbours (the argmax itself
+    at an edge or without negative curvature).  The prediction only chooses which
+    exact levels are evaluated early; it never moves a grid.
+    """
+    vertex = center = float(kappas[best])
+    if 0 < best < kappas.size - 1:
+        y_a, y_b, y_c = n_s[best - 1 : best + 2].tolist()
+        curvature = (y_a - y_b) + (y_c - y_b)
+        if curvature < 0.0:
+            vertex += 0.25 * (y_a - y_c) / curvature * float(kappas[best + 1] - kappas[best - 1])
+    centers, grids = [], []
+    while w > _TOL:
+        # The middle offset is exactly 0, so the centre itself is re-evaluated.
+        grid = np.maximum(center + w * _ZOOM_OFFSETS, 0.0)
+        centers.append(center)
+        grids.append(grid)
+        center, w = float(grid[np.argmin(np.abs(grid - vertex))]), w / 16.0
+    return centers, grids
 
 
 def ridge_linearity(points: list[RidgePoint]) -> tuple[float, float, float]:

@@ -84,6 +84,19 @@ def test_every_map_is_read_only():
         assert not bmap.v_block.flags.writeable
 
 
+def test_a_map_built_from_views_keeps_its_blocks_when_the_base_changes():
+    # A view's base stays writable, so the map must own a copy of a block that is a view.
+    params = CouplerParams(0.5, 1.0, 0.3, 1.2)
+    exact = propagate_exact(params)
+    u, v = exact.u_block.copy(), exact.v_block.copy()
+    bmap = BogoliubovMap(u[:], v[:], params)
+    u[...], v[...] = 7.0, -7.0
+    assert np.array_equal(bmap.u_block, exact.u_block)
+    assert np.array_equal(bmap.v_block, exact.v_block)
+    assert not bmap.u_block.flags.writeable and not bmap.v_block.flags.writeable
+    assert u.flags.writeable  # the caller's arrays are left alone
+
+
 @settings(deadline=None)
 @given(supported_params())
 def test_symplectic_identities(params):

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under ``scripts/``, each into a temporary directory."""
 
 import csv
+import importlib.util
 import json
 import os
 import shutil
@@ -75,5 +76,28 @@ def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
     summary = doc["summary"]["zeno_envelope"]
     assert set(summary) == {"setup_s", "pass_ref", "peak_rss_mib"}
     assert all(metric["pairs"] == 1 for metric in summary.values())
-    assert "zeno_envelope  pass_ref" in stdout
+    for metric in summary.values():  # one pair: each side's quartiles and range are its run
+        for side in (metric["parent"], metric["change"]):
+            assert side["min"] == side["q1"] == side["median"] == side["q3"] == side["max"]
+            assert side["runs"] == [side["median"]]
+    assert "zeno_envelope  pass_ref" in stdout and "(q1-q3 " in stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]  # trees removed
+
+
+def test_bench_pairs_tells_a_crossing_inside_the_parent_range():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = bench_pairs.spread([0.10, 0.12, 0.16, 0.11])
+    assert (parent["min"], parent["max"]) == (0.10, 0.16)
+    assert parent["q1"] <= parent["median"] <= parent["q3"]
+    metric = {"name": "setup_s", "better": "lower", "bound": 0.25}
+
+    def note(change_runs):
+        runs = [{"parent": {"metrics": {"setup_s": p}}, "change": {"metrics": {"setup_s": c}}}
+                for p, c in zip(parent["runs"], change_runs)]
+        return bench_pairs.bound_note(bench_pairs.summarize(runs, metric))
+
+    assert note([0.10, 0.12, 0.11, 0.11]) == ""
+    assert note([0.15, 0.15, 0.15, 0.15]) == "  BEYOND BOUND (inside parent range)"
+    assert note([0.20, 0.20, 0.20, 0.20]) == "  BEYOND BOUND"

@@ -30,6 +30,7 @@ from zenopdc.closed_forms import closed_form_occupations, n_s_mismatched_uncoupl
 from zenopdc.dressed import dressed_bogoliubov_map, resonant_vs_qpm
 from zenopdc.dynamics import propagate_batch, propagate_exact, vacuum_occupations
 from zenopdc import dressed, dynamics, sweeps
+from zenopdc.params import require_ok
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
 
 
@@ -274,27 +275,129 @@ def test_ridge_kappa_opt_is_the_maximizer_to_tolerance():
         assert n[:, 0].max() <= p.n_s_max * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("delta, calls", [(1e-9, 1), (3.0, 5), (5.0, 5), (10.0, 6), (1e10, 13)])
-def test_ridge_levels_are_bounded_and_never_lose_signal(monkeypatch, delta, calls):
-    # One _signal call per level: the scan, then ceil(log16(h / 1e-6)) zoom levels for the
-    # scan spacing h = 2Δ/256, however large κ is.
-    levels = []
+def _sequential_ridge(gamma, length, delta, levels=None):
+    """The level-by-level ridge walk: one propagation per level, each grid built around
+    the argmax of the one before; ``levels`` collects each level's n_s maximum."""
+    kappas = np.linspace(0.0, 2.0 * delta, sweeps._SCAN_POINTS)
+    w, level = float(kappas[1]), "scan"
+    while True:
+        _, n, ok = propagate_batch(gamma, kappas, delta, length)
+        n_s = n[..., 0]
+        require_ok(ok, f"ridge {level} at delta={delta}")
+        if level == "scan" and n_s.max() <= n_s.min() * (1.0 + 1e-6):
+            warnings.warn(f"flat signal landscape at delta={delta}; refinement is meaningless",
+                          FlatLandscapeWarning)
+        best = int(np.argmax(n_s))
+        k_opt, n_max = float(kappas[best]), float(n_s[best])
+        if levels is not None:
+            levels.append(n_s.max())
+        if w <= 1e-6:
+            return RidgePoint(delta=delta, kappa_opt=k_opt, n_s_max=n_max)
+        kappas, w, level = np.maximum(k_opt + w * sweeps._ZOOM_OFFSETS, 0.0), w / 16.0, "zoom"
+
+
+def _chained_ridge(gamma, length, delta):
+    (point,) = find_anti_zeno_ridge(gamma, length, [delta])
+    return point
+
+
+def _outcome(ridge, *args):
+    """repr of a ridge's result or NumericError message, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = repr(ridge(*args))
+        except NumericError as exc:
+            result = f"NumericError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _ridge_draws(seed, count, lengths=(0.05, 8.0)):
+    rng = np.random.default_rng(seed)
+    ranges = [(1e-3, 1.0), (0.05, 20.0), (10.0, 300.0)]
+    return [(rng.uniform(0.01, 3.0), rng.uniform(*lengths), rng.uniform(*ranges[i % 3]))
+            for i in range(count)]
+
+
+EDGE_DELTAS = [1e-9, 0.3, 1.0, 3.0, 5.0, 10.0, 1e6, 1e10]  # flat, κ = 0, typical, below float spacing
+
+
+def test_chained_ridge_is_the_sequential_ridge():
+    # The chain only decides which exact levels are evaluated early: every point, error and
+    # warning is bitwise the level-by-level walk's.
+    draws = _ridge_draws(25, 90) + [(0.5, 1.5, delta) for delta in EDGE_DELTAS]
+    draws += [(0.5, 1e-7, 5.0)]  # flat landscape
+    for gamma, length, delta in draws:
+        chained = _outcome(_chained_ridge, gamma, length, delta)
+        assert chained == _outcome(_sequential_ridge, gamma, length, delta), (gamma, length, delta)
+
+
+def test_chained_ridge_raises_the_sequential_error_in_the_overflow_region():
+    draws = _ridge_draws(26, 24, lengths=(100.0, 1500.0))
+    errors = 0
+    for gamma, length, delta in draws:
+        chained = _outcome(_chained_ridge, gamma, length, delta)
+        assert chained == _outcome(_sequential_ridge, gamma, length, delta), (gamma, length, delta)
+        errors += chained[0].startswith("NumericError")
+    assert 0 < errors < len(draws)  # both outcomes are exercised
+
+
+def test_missed_predictions_and_failing_speculative_cells_change_nothing(monkeypatch):
+    # Every predicted centre misses, and every cell after a call's first grid reports
+    # failure: each call then consumes only its exact first level, which must neither
+    # raise nor warn because of the levels it discards.
+    chain, signal = sweeps._zoom_chain, sweeps._signal
+    calls = []
+
+    def missing(kappas, n_s, best, w):
+        centers, grids = chain(kappas, n_s, best, w)
+        return centers[:1] + [math.nan] * (len(centers) - 1), grids
+
+    def failing(gamma, kappa, delta, length):
+        n_s, ok = signal(gamma, kappa, delta, length)
+        calls.append(kappa.size)
+        if kappa.size % sweeps._ZOOM_OFFSETS.size == 0:  # a chain of zoom grids
+            ok = ok.copy()
+            ok[sweeps._ZOOM_OFFSETS.size :] = False
+        return n_s, ok
+
+    monkeypatch.setattr(sweeps, "_zoom_chain", missing)
+    monkeypatch.setattr(sweeps, "_signal", failing)
+    draws = _ridge_draws(27, 15) + [(0.5, 1.5, delta) for delta in EDGE_DELTAS]
+    draws += _ridge_draws(28, 6, lengths=(100.0, 1500.0)) + [(0.5, 1e-7, 5.0)]
+    for gamma, length, delta in draws:
+        levels, calls[:] = [], []
+        chained = _outcome(_chained_ridge, gamma, length, delta)
+        expected = _outcome(_sequential_ridge, gamma, length, delta, levels)
+        assert chained == expected, (gamma, length, delta)
+        # one level per call; a level that raises is evaluated but not collected
+        assert len(calls) == len(levels) + chained[0].startswith("NumericError")
+
+
+@pytest.mark.parametrize("delta, levels", [(1e-9, 1), (3.0, 5), (5.0, 5), (10.0, 6), (1e10, 13)])
+def test_ridge_levels_are_bounded_and_never_lose_signal(monkeypatch, delta, levels):
+    # The scan, then ceil(log16(h / 1e-6)) zoom levels for the scan spacing h = 2Δ/256,
+    # however large κ is; the chained ridge evaluates them in at most as many calls.
+    maxima, calls = [], []
 
     def spy(gamma, kappa, delta, length):
-        n_s, ok = signal(gamma, kappa, delta, length)
-        levels.append(n_s.max())
-        return n_s, ok
+        calls.append(kappa.size)
+        return signal(gamma, kappa, delta, length)
 
     signal = sweeps._signal
     monkeypatch.setattr(sweeps, "_signal", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FlatLandscapeWarning)  # Δ = 1e-9 is flat
         (point,) = find_anti_zeno_ridge(0.5, 1.5, [delta])
+        reference = _sequential_ridge(0.5, 1.5, delta, maxima)
     h = 2.0 * delta / 256.0
-    assert len(levels) == calls == 1 + max(0, math.ceil(math.log(h / 1e-6, 16)))
+    assert len(maxima) == levels == 1 + max(0, math.ceil(math.log(h / 1e-6, 16)))
     # the middle zoom offset re-evaluates κ_opt (bit-identically), so no level loses signal
-    assert all(a <= b for a, b in zip(levels, levels[1:]))
-    assert point.n_s_max == levels[-1]
+    assert all(a <= b for a, b in zip(maxima, maxima[1:]))
+    assert repr(point) == repr(reference) and point.n_s_max == maxima[-1]
+    assert len(calls) <= levels
+    if delta in (3.0, 5.0, 10.0):
+        assert len(calls) <= 3
 
 
 def test_ridge_input_validation():
