@@ -8,149 +8,62 @@ rotated "dressed" basis, extracts Bogoliubov (U, V) blocks and vacuum-seeded
 occupations, evaluates closed-form limits, classifies dynamical regimes from
 the characteristic cubic, and scans parameter grids for the suppression
 (Zeno) and revival (anti-Zeno) features of the signal yield.
+
+``import zenopdc`` loads no submodule (and not numpy): each public name is
+imported from its module on first use (PEP 562) and then kept here, so a
+command-line run pays only for the modules it runs.
 """
 
-from .closed_forms import (
-    BRANCH_HYPERBOLIC,
-    BRANCH_THRESHOLD,
-    BRANCH_TRIG,
-    ClosedFormResult,
-    closed_form_batch,
-    coupled_matched_occupations,
-    n_s_large_mismatch_asymptote,
-    n_s_matched,
-    n_s_mismatched_uncoupled,
-    n_s_strong_coupling_asymptote,
-)
-from .dressed import (
-    DRESSED_MODES,
-    build_dressed_generator,
-    dressed_bogoliubov_map,
-    propagate_dressed,
-    qpm_comparison,
-    resonant_vs_qpm,
-)
-from .dynamics import (
-    MODES,
-    BogoliubovMap,
-    ModeOccupations,
-    build_generator,
-    check_symplectic,
-    compose,
-    propagate_batch,
-    propagate_exact,
-    propagate_lengths,
-    propagate_ode,
-    vacuum_occupations,
-)
-from .params import (
-    BoundaryNotFoundError,
-    CouplerError,
-    CouplerParams,
-    DomainError,
-    FlatLandscapeWarning,
-    IntegrationError,
-    InvalidParameterError,
-    NumericError,
-    require_finite,
-)
-from .regimes import (
-    REGIME_BOUNDARY,
-    REGIME_HYPERBOLIC,
-    REGIME_OSCILLATORY,
-    CubicCoefficients,
-    RegimeReport,
-    boundary_exact,
-    characteristic_cubic,
-    classify_regime,
-    cubic_discriminant,
-    discriminant_tolerance,
-    discriminant_weak_gamma,
-    regime_boundaries,
-)
-from .sweeps import (
-    ENGINE_CLOSED_WHEN_APPLICABLE,
-    ENGINE_NUMERIC,
-    ENGINES,
-    PARAM_AXES,
-    TAG_CLOSED,
-    TAG_FAILED,
-    TAG_NUMERIC,
-    RidgePoint,
-    SweepAxis,
-    SweepGrid,
-    SweepSpec,
-    find_anti_zeno_ridge,
-    max_signal_over_length,
-    ridge_linearity,
-    sweep_2d,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRANCH_HYPERBOLIC",
-    "BRANCH_THRESHOLD",
-    "BRANCH_TRIG",
-    "BogoliubovMap",
-    "BoundaryNotFoundError",
-    "ClosedFormResult",
-    "CouplerError",
-    "CouplerParams",
-    "CubicCoefficients",
-    "DRESSED_MODES",
-    "DomainError",
-    "ENGINE_CLOSED_WHEN_APPLICABLE",
-    "ENGINE_NUMERIC",
-    "ENGINES",
-    "FlatLandscapeWarning",
-    "IntegrationError",
-    "InvalidParameterError",
-    "MODES",
-    "ModeOccupations",
-    "NumericError",
-    "PARAM_AXES",
-    "REGIME_BOUNDARY",
-    "REGIME_HYPERBOLIC",
-    "REGIME_OSCILLATORY",
-    "RegimeReport",
-    "RidgePoint",
-    "SweepAxis",
-    "SweepGrid",
-    "SweepSpec",
-    "TAG_CLOSED",
-    "TAG_FAILED",
-    "TAG_NUMERIC",
-    "boundary_exact",
-    "build_dressed_generator",
-    "build_generator",
-    "characteristic_cubic",
-    "check_symplectic",
-    "classify_regime",
-    "closed_form_batch",
-    "compose",
-    "coupled_matched_occupations",
-    "cubic_discriminant",
-    "discriminant_tolerance",
-    "discriminant_weak_gamma",
-    "dressed_bogoliubov_map",
-    "find_anti_zeno_ridge",
-    "max_signal_over_length",
-    "n_s_large_mismatch_asymptote",
-    "n_s_matched",
-    "n_s_mismatched_uncoupled",
-    "n_s_strong_coupling_asymptote",
-    "propagate_batch",
-    "propagate_dressed",
-    "propagate_exact",
-    "propagate_lengths",
-    "propagate_ode",
-    "qpm_comparison",
-    "regime_boundaries",
-    "require_finite",
-    "resonant_vs_qpm",
-    "ridge_linearity",
-    "sweep_2d",
-    "vacuum_occupations",
-    "__version__",
-]
+#: Each public name, under the module that defines it.
+_EXPORTS = {
+    "closed_forms": (
+        "BRANCH_HYPERBOLIC", "BRANCH_THRESHOLD", "BRANCH_TRIG", "ClosedFormResult",
+        "closed_form_batch", "coupled_matched_occupations", "n_s_large_mismatch_asymptote",
+        "n_s_matched", "n_s_mismatched_uncoupled", "n_s_strong_coupling_asymptote",
+    ),
+    "dressed": (
+        "DRESSED_MODES", "build_dressed_generator", "dressed_bogoliubov_map",
+        "propagate_dressed", "qpm_comparison", "resonant_vs_qpm",
+    ),
+    "dynamics": (
+        "MODES", "BogoliubovMap", "ModeOccupations", "build_generator", "check_symplectic",
+        "compose", "propagate_batch", "propagate_exact", "propagate_lengths", "propagate_ode",
+        "vacuum_occupations",
+    ),
+    "params": (
+        "ENGINE_CLOSED_WHEN_APPLICABLE", "ENGINE_NUMERIC", "ENGINES", "PARAM_AXES",
+        "BoundaryNotFoundError", "CouplerError", "CouplerParams", "DomainError",
+        "FlatLandscapeWarning", "IntegrationError", "InvalidParameterError", "NumericError",
+        "require_finite",
+    ),
+    "regimes": (
+        "REGIME_BOUNDARY", "REGIME_HYPERBOLIC", "REGIME_OSCILLATORY", "CubicCoefficients",
+        "RegimeReport", "boundary_exact", "characteristic_cubic", "classify_regime",
+        "cubic_discriminant", "discriminant_tolerance", "discriminant_weak_gamma",
+        "regime_boundaries",
+    ),
+    "sweeps": (
+        "TAG_CLOSED", "TAG_FAILED", "TAG_NUMERIC", "RidgePoint", "SweepAxis", "SweepGrid",
+        "SweepSpec", "find_anti_zeno_ridge", "max_signal_over_length", "ridge_linearity",
+        "sweep_2d",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

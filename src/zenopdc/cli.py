@@ -15,6 +15,10 @@ Warnings (a flat ridge landscape) print after the artifact as one
 failing command prints exactly one ``error:`` line on stderr.
 ``sweep --threads`` is deprecated: it is accepted and validated but changes
 neither the work nor the output, because sweeps run serially.
+Each ``cmd_*`` function imports the modules it runs when it is called, so a
+one-shot ``python -m zenopdc`` run loads only those (``classify`` loads
+``regimes`` and no propagator).  :func:`main` builds the parser once per
+process and looks the ``cmd_*`` function up by the command's name on each call.
 
 Exit codes: 0 success; 2 invalid parameters/config/range (including an
 unreadable config file, a JSON boolean, a JSON string or an integer beyond
@@ -38,32 +42,16 @@ from collections.abc import Iterable
 from dataclasses import asdict, astuple, fields
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_forms import closed_form_occupations
-from .dressed import propagate_dressed, qpm_comparison
-from .dynamics import (
-    ModeOccupations,
-    check_symplectic,
-    propagate_exact,
-    propagate_ode,
-    vacuum_occupations,
-)
+from .params import ENGINE_NUMERIC, ENGINES, PARAM_AXES
 from .params import CouplerError, CouplerParams, DomainError, InvalidParameterError
 from .params import require_allocatable, require_count, require_finite
-from .regimes import classify_regime
-from .sweeps import (
-    ENGINE_NUMERIC,
-    ENGINES,
-    PARAM_AXES,
-    RidgePoint,
-    SweepAxis,
-    SweepSpec,
-    find_anti_zeno_ridge,
-    ridge_linearity,
-    sweep_2d,
-)
+
+if TYPE_CHECKING:
+    from .sweeps import SweepSpec
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -212,6 +200,9 @@ def _json_grid(grid: np.ndarray):
 
 
 def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
+    from .dynamics import ModeOccupations, check_symplectic, vacuum_occupations
+    from .dynamics import propagate_exact, propagate_ode
+
     params = _merge_params(args, config)
     engine = _resolve(args, config, "engine", "exact")
     if engine not in _SIMULATE_ENGINES:
@@ -221,6 +212,8 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str 
     branch = None
     residual = None
     if engine == "closed-form":
+        from .closed_forms import closed_form_occupations
+
         *occupations, branch = closed_form_occupations(params)
         occ = ModeOccupations(*occupations)
     else:
@@ -240,6 +233,8 @@ def cmd_simulate(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str 
 
 
 def cmd_classify(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
+    from .regimes import classify_regime
+
     params = _merge_params(args, config)
     report = classify_regime(params)
     doc = {"command": "classify", "params": asdict(params), **asdict(report)}
@@ -253,6 +248,8 @@ def cmd_classify(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str 
 
 
 def _sweep_spec_from(args, config: dict) -> SweepSpec:
+    from .sweeps import SweepAxis, SweepSpec
+
     fixed_cfg = config.get("fixed", {})
     if not isinstance(fixed_cfg, dict):
         raise InvalidParameterError("sweep config 'fixed' must be an object")
@@ -275,6 +272,8 @@ def _sweep_spec_from(args, config: dict) -> SweepSpec:
 
 
 def cmd_sweep(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
+    from .sweeps import sweep_2d
+
     spec = _sweep_spec_from(args, config)
     grid = sweep_2d(spec, threads=_resolve(args, config, "threads", 1))
     pieces = (_sweep_csv if fmt == "csv" else _sweep_json)(spec, grid)
@@ -310,6 +309,9 @@ def _sweep_csv(spec: SweepSpec, grid):
 
 
 def cmd_dressed_check(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
+    from .dressed import propagate_dressed, qpm_comparison
+    from .dynamics import propagate_exact, vacuum_occupations
+
     seed = _resolve(args, config, "seed", None)
     if seed is None:
         params = _merge_params(args, config)
@@ -364,6 +366,8 @@ def _parse_deltas(spec: str) -> list[float]:
 
 
 def cmd_ridge(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | None]:
+    from .sweeps import RidgePoint, find_anti_zeno_ridge, ridge_linearity
+
     gamma = require_finite("gamma", _resolve(args, config, "gamma", 0.5))
     length = require_finite("length", _resolve(args, config, "length", 1.5))
     if args.delta is not None:
@@ -396,17 +400,17 @@ def cmd_ridge(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | N
 # -------------------------------------------------------------------- parser
 
 
-def _add_command(sub, name: str, func, summary: str, keys, formats=("json",), flags=PARAM_AXES):
+def _add_command(sub, name: str, summary: str, keys, formats=("json",), flags=PARAM_AXES):
     """Register ``name``: a float flag per parameter in ``flags``, the shared
     --config/--out/--format, and the config ``keys`` and ``formats`` that
-    :func:`main` checks before it calls ``func``."""
+    :func:`main` checks before it calls the command's ``cmd_*`` function."""
     p = sub.add_parser(name, help=summary)
     for flag in flags:
         p.add_argument(f"--{flag}", type=float, help=_PARAM_HELP[flag])
     p.add_argument("--config", help="JSON config file (or bundled: fig2, fig3)")
     p.add_argument("--out", help="write the report/artifact to this path")
     p.add_argument("--format", choices=("json", "csv"), help="artifact format")
-    p.set_defaults(func=func, config_keys={*keys, "out", "format"}, formats=formats)
+    p.set_defaults(config_keys={*keys, "out", "format"}, formats=formats)
     return p
 
 
@@ -417,14 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "simulate", cmd_simulate, "occupations for one parameter point",
+    p = _add_command(sub, "simulate", "occupations for one parameter point",
                      keys={*PARAM_AXES, "engine"})
     p.add_argument("--engine", choices=_SIMULATE_ENGINES, help="propagation engine (default exact)")
 
-    _add_command(sub, "classify", cmd_classify, "dynamical regime from the frequency cubic",
+    _add_command(sub, "classify", "dynamical regime from the frequency cubic",
                  keys=PARAM_AXES)
 
-    p = _add_command(sub, "sweep", cmd_sweep, "2-D grid of signal occupations",
+    p = _add_command(sub, "sweep", "2-D grid of signal occupations",
                      keys={"fixed", "axis1", "axis2", "engine", "threads", *_SWEEP_RESULT_KEYS},
                      formats=("json", "csv"))
     p.add_argument("--engine", choices=ENGINES, help="per-cell engine policy")
@@ -432,19 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="deprecated: accepted for compatibility; sweeps run serially, "
                         "output is identical")
 
-    p = _add_command(sub, "dressed-check", cmd_dressed_check,
-                     "cross-validate the dressed-frame route", keys={*PARAM_AXES, "seed"})
+    p = _add_command(sub, "dressed-check", "cross-validate the dressed-frame route",
+                     keys={*PARAM_AXES, "seed"})
     p.add_argument("--seed", type=int, help="draw random parameters instead of flags")
 
-    p = _add_command(sub, "ridge", cmd_ridge, "track the anti-Zeno ridge kappa_opt(delta)",
+    p = _add_command(sub, "ridge", "track the anti-Zeno ridge kappa_opt(delta)",
                      keys={"gamma", "length", "deltas"}, formats=("json", "csv"),
                      flags=("gamma", "length"))
     p.add_argument("--delta", help="mismatch values: VALUE or MIN:MAX:COUNT")
     return parser
 
 
+#: The parser, built on the first :func:`main` call and kept for the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _read_config(args.config) if args.config else {}
         _check_keys(config, args.config_keys, "config")
@@ -455,7 +463,8 @@ def main(argv=None) -> int:
                 f"{args.command} supports only --format {' or '.join(args.formats)}, got {fmt!r}"
             )
         with warnings.catch_warnings(record=True) as caught:
-            pieces, code, note = args.func(args, config, fmt)
+            command = globals()[f"cmd_{args.command.replace('-', '_')}"]
+            pieces, code, note = command(args, config, fmt)
             _write(pieces, out)
         if note:
             print(note, file=sys.stderr)

@@ -19,9 +19,9 @@ independent route to the same occupations; only the kernel
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .dynamics import (
     BogoliubovMap,
@@ -32,6 +32,9 @@ from .dynamics import (
 )
 from .params import CouplerParams, DomainError, InvalidParameterError, require_ok, valid_cells
 from .params import require_finite as _require
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 #: Mode order of the dressed-basis maps: signal, symmetric, antisymmetric.
 DRESSED_MODES = ("s", "c", "d")

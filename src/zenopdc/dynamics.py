@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .params import (
     CouplerParams,
@@ -51,6 +51,9 @@ from .params import (
     require_ok,
     valid_cells,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 #: Mode order used by every map in this package: signal, idler, probe.
 MODES = ("s", "i", "b")

@@ -1,4 +1,4 @@
-"""Physical parameters, error types and the three input and failure rules.
+"""Physical parameters, their names, error types and the three input and failure rules.
 
 The device under study is a three-mode bosonic coupler: a strong classical
 pump drives signal/idler pair production with nonlinear gain ``gamma`` and
@@ -48,6 +48,10 @@ class FlatLandscapeWarning(UserWarning):
 
 #: The parameter names, in :class:`CouplerParams` field order; a sweep axis varies one of them.
 PARAM_AXES = ("gamma", "kappa", "delta", "length")
+#: A sweep's per-cell engine policies; here, not in ``sweeps``, so the CLI parser can name them.
+ENGINE_NUMERIC = "numeric"
+ENGINE_CLOSED_WHEN_APPLICABLE = "closed_form_when_applicable"
+ENGINES = (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE)
 _NONNEGATIVE = ("gamma", "kappa", "length")
 
 

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .closed_forms import closed_form_batch, covered
 from .dynamics import propagate_batch, propagate_lengths
 from .params import (
+    ENGINE_CLOSED_WHEN_APPLICABLE,
+    ENGINE_NUMERIC,
+    ENGINES,
     PARAM_AXES,
     CouplerParams,
     FlatLandscapeWarning,
@@ -38,9 +41,8 @@ from .params import (
     require_ok,
 )
 
-ENGINE_NUMERIC = "numeric"
-ENGINE_CLOSED_WHEN_APPLICABLE = "closed_form_when_applicable"
-ENGINES = (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE)
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
 
 TAG_NUMERIC = "numeric"
 TAG_CLOSED = "closed_form"

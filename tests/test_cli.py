@@ -385,12 +385,12 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 def test_out_into_missing_directory_exits_2_before_work(tmp_path, monkeypatch, capsys):
-    from zenopdc import cli
+    from zenopdc import cli, sweeps
 
     def no_work(*args, **kwargs):
         raise AssertionError("sweep ran although its --out cannot be written")
 
-    monkeypatch.setattr(cli, "sweep_2d", no_work)
+    monkeypatch.setattr(sweeps, "sweep_2d", no_work)
     missing = str(tmp_path / "missing" / "x.json")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"out": 5}))
@@ -407,6 +407,37 @@ def test_out_into_missing_directory_exits_2_before_work(tmp_path, monkeypatch, c
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+_BASE = {"zenopdc", "zenopdc.cli", "zenopdc.params"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["simulate"], {"zenopdc.dynamics"}),
+    (["simulate", "--engine", "ode"], {"zenopdc.dynamics"}),
+    (["simulate", "--engine", "closed-form"], {"zenopdc.dynamics", "zenopdc.closed_forms"}),
+    (["classify", "--kappa", "1"], {"zenopdc.regimes"}),
+    (["dressed-check", "--seed", "1"], {"zenopdc.dynamics", "zenopdc.dressed"}),
+    (["sweep", "--config", "fig2"], {"zenopdc.dynamics", "zenopdc.closed_forms", "zenopdc.sweeps"}),
+    (["ridge", "--delta", "5"], {"zenopdc.dynamics", "zenopdc.closed_forms", "zenopdc.sweeps"}),
+])
+def test_a_command_imports_only_the_modules_it_runs(argv, modules):
+    proc = subprocess.run([sys.executable, "-X", "importtime", *CMD[1:], *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {m for m in imported if m.startswith("zenopdc")} == _BASE | modules
+
+
+def test_main_builds_the_parser_once_and_finds_the_command_per_call(monkeypatch, capsys):
+    from zenopdc import cli
+
+    assert cli.main(["classify", "--kappa", "1"]) == 0
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args, config, fmt: (["patched\n"], 0, None))
+    assert cli.main(["sweep", "--config", "fig2"]) == 0
+    assert capsys.readouterr().out.endswith("patched\n")
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_error_is_the_first_stderr_line_when_the_write_fails(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import ast
 import math
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from zenopdc import (
     propagate_exact,
     vacuum_occupations,
 )
+import zenopdc
 from zenopdc.closed_forms import BRANCH_WINDOW, closed_form_batch, closed_form_occupations
 
 _finite = lambda lo, hi: st.floats(  # noqa: E731
@@ -87,6 +90,18 @@ def test_threshold_value():
         assert n_i == pytest.approx(gl**2, rel=1e-12)
         assert n_b == pytest.approx(gl**4 / 4.0, rel=1e-12)
         assert n_s == pytest.approx(gl**2 + gl**4 / 4.0, rel=1e-12)
+
+
+def test_branch_window_is_a_millionth_of_gamma_squared():
+    # Literal fractions, not BRANCH_WINDOW: |x| = 0.5e-6·Γ² is inside the
+    # window and 2e-6·Γ² outside, on both sides of κ = Γ and at |Δ| = 2Γ.
+    gamma = 0.5
+    for f, tags in ((0.5e-6, [BRANCH_THRESHOLD] * 3),
+                    (2e-6, [BRANCH_TRIG, BRANCH_HYPERBOLIC, BRANCH_TRIG])):
+        kappa = np.array([gamma * math.sqrt(1 + f), gamma * math.sqrt(1 - f), 0.0])
+        delta = np.array([0.0, 0.0, 2 * gamma * math.sqrt(1 + f)])
+        *_, branch, ok = closed_form_batch(gamma, kappa, delta, 1.0)
+        assert ok.all() and branch.tolist() == tags, f
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -339,12 +354,43 @@ def test_result_supports_index_attribute_and_unpacking_access():
 def test_package_all_lists_exactly_the_public_names():
     import zenopdc
 
+    [getattr(zenopdc, name) for name in zenopdc.__all__]  # the namespace fills on use
     public = {
         name
         for name, value in vars(zenopdc).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(zenopdc.__all__) == sorted(public | {"__version__"})
+
+
+def test_import_loads_no_submodule_and_not_numpy():
+    code = "import sys, zenopdc; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'zenopdc'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['zenopdc']"
+
+
+def test_star_import_binds_every_public_name():
+    code = "from zenopdc import *; import zenopdc; print(all(n in globals() for n in zenopdc.__all__))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+@given(name=st.sampled_from(zenopdc.__all__))
+def test_every_public_name_resolves_and_is_listed(name):
+    value = getattr(zenopdc, name)
+    assert vars(zenopdc)[name] is value  # kept in the namespace once resolved
+    assert name in dir(zenopdc)
+    if name != "__version__":
+        assert value is getattr(sys.modules[f"zenopdc.{zenopdc._HOME[name]}"], name)
+
+
+def test_unknown_package_names_raise():
+    with pytest.raises(AttributeError, match="has no attribute 'propagate'"):
+        zenopdc.propagate
+    with pytest.raises(ImportError):
+        from zenopdc import nonexistent  # noqa: F401
 
 
 def test_no_module_imports_a_private_name_from_another():

@@ -279,6 +279,16 @@ def test_symplectic_residual_detects_doctored_map():
     assert check_symplectic(doctored) >= 3.0 * v_peak**2 - 1e-12
 
 
+def test_symplectic_residual_detects_an_asymmetric_u_v_transpose():
+    # V·diag(i, 1, 1) keeps U U† - V V† = I, as diag(i, 1, 1) is unitary, but
+    # U Vᵀ is no longer symmetric: only the second identity can see it.
+    bmap = propagate_exact(CouplerParams(0.8, 1.0, 2.0, 1.5))
+    doctored = replace(bmap, v_block=bmap.v_block * np.array([1j, 1.0, 1.0]))
+    u, v = doctored.u_block, doctored.v_block
+    assert np.max(np.abs(u @ u.conj().T - v @ v.conj().T - np.eye(3))) <= 1e-14
+    assert check_symplectic(doctored) >= 1.0
+
+
 def test_import_leaves_the_ode_integrator_unloaded():
     # scipy.integrate serves only the ODE oracle; importing the package must
     # not pay for it.
@@ -391,6 +401,17 @@ def test_masked_squarings_leave_every_slice_as_it_is_alone():
     assert np.isfinite(w[[0, 1, 3, 4, 5, 7]]).all()
     for i in range(len(m)):
         assert np.array_equal(w[i], expm_i(m[i], t[i]), equal_nan=True), i
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_i_gives_up_after_exactly_52_squarings():
+    # The edge expm_i's docstring states: a unitary exp(i m t) that takes 52
+    # squarings still comes back finite, one that takes 53 comes back NaN.
+    m = build_generator(CouplerParams(0.0, 2.0, 3.0, 1.0))
+    t = 0.75 * 2.0 ** np.array([52, 53]) * dynamics._THETA_13 / np.abs(m).sum(axis=0).max()
+    assert list(_squarings(m, t)) == [52, 53]
+    w = expm_i(m, t)
+    assert np.isfinite(w[0]).all() and np.isnan(w[1]).all()
 
 
 def _columns(cells):
