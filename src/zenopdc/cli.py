@@ -177,14 +177,19 @@ def _report(doc: dict) -> list[str]:
     return [json.dumps(doc, sort_keys=True, indent=2, default=_plain) + "\n"]
 
 
-def _json_grid(grid: np.ndarray):
-    """``grid``'s rows, in slices, as ``json.dumps(..., indent=2)`` writes them at depth 1."""
+def _json_items(cells: np.ndarray) -> str:
+    return _ROW_ENCODER.encode(cells.tolist())[1:-1]
+
+
+def _json_grid(grid: np.ndarray, items=_json_items):
+    """``grid``'s rows as ``json.dumps(..., indent=2)`` writes them at depth 1, one
+    ``items(slice)`` per slice of a row: by default its cells as JSON."""
     for i, row in enumerate(grid):
         yield ",\n    [\n      " if i else "[\n    [\n      "
         for j in range(0, len(row), _SLICE):
             if j:
                 yield ",\n      "
-            yield _ROW_ENCODER.encode(row[j:j + _SLICE].tolist())[1:-1]
+            yield items(row[j:j + _SLICE])
         yield "\n    ]"
     yield "\n  ]"
 
@@ -284,10 +289,18 @@ def cmd_sweep(args, config: dict, fmt: str) -> tuple[Iterable[str], int, str | N
 
 def _sweep_json(spec: SweepSpec, grid):
     """The sorted spec keys, then ``provenance`` and ``values``, the last two keys, row by row."""
+    from .sweeps import TAGS
+
     (head,) = _report({"axis1": asdict(spec.axis1), "axis2": asdict(spec.axis2),
                        "engine": spec.engine, "failures": grid.failures, "fixed": asdict(spec.fixed)})
+    tags = tuple(map(json.dumps, TAGS))
+
+    @functools.lru_cache(maxsize=1)  # a slice's text, reused while the next slices match it
+    def provenance(codes: bytes) -> str:
+        return ",\n      ".join(map(tags.__getitem__, codes))
+
     yield head[:-3] + ',\n  "provenance": '  # head ends "\n}\n"
-    yield from _json_grid(grid.provenance)
+    yield from _json_grid(grid.codes, lambda codes: provenance(codes.tobytes()))
     yield ',\n  "values": '
     yield from _json_grid(grid.values)
     yield "\n}\n"
@@ -295,6 +308,8 @@ def _sweep_json(spec: SweepSpec, grid):
 
 def _sweep_csv(spec: SweepSpec, grid):
     """One ``axis1,axis2,n_s,engine`` line per cell; a float prints as its repr (NaN as nan)."""
+    from .sweeps import TAGS
+
     yield "axis1,axis2,n_s,engine\n"
     a2 = spec.axis2.grid()
 
@@ -302,9 +317,10 @@ def _sweep_csv(spec: SweepSpec, grid):
     def ys(j):
         return list(map(repr, a2[j:j + _SLICE].tolist()))
 
-    for x, values, tags in zip(map(repr, spec.axis1.grid().tolist()), grid.values, grid.provenance):
+    for x, values, codes in zip(map(repr, spec.axis1.grid().tolist()), grid.values, grid.codes):
         for j in range(0, len(a2), _SLICE):
-            cells = zip(ys(j), values[j:j + _SLICE].tolist(), tags[j:j + _SLICE].tolist())
+            tags = map(TAGS.__getitem__, codes[j:j + _SLICE].tobytes())
+            cells = zip(ys(j), values[j:j + _SLICE].tolist(), tags)
             yield "".join([f"{x},{y},{v!r},{t}\n" for y, v, t in cells])
 
 

@@ -5,10 +5,11 @@ chunk's numeric cells are one stacked propagation
 (:func:`dynamics.propagate_batch`) and, under ``closed_form_when_applicable``,
 its Δ = 0 / κ = 0 cells one :func:`closed_forms.closed_form_batch` call, so
 memory stays flat in the grid size.  Every cell carries its engine
-provenance, and a stacked cell is bit-identical to its single-cell result,
-so repeated runs produce byte-identical artifacts.  Cell-level numerical
-failures are recorded as NaN with a "failed" tag rather than aborting the
-sweep.  The peak-over-length envelope is one length-grid propagation
+provenance as a one-byte code into :data:`TAGS`, decoded on request, and a
+stacked cell is bit-identical to its single-cell result, so repeated runs
+produce byte-identical artifacts.  Cell-level numerical failures are recorded
+as NaN with a "failed" tag rather than aborting the sweep.  The
+peak-over-length envelope is one length-grid propagation
 (:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N lengths), and
 the ridge propagates only in stacks: per Δ one 257-point κ scan, then
 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its bracket 16×
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .closed_forms import closed_form_batch, covered
 from .dynamics import propagate_batch, propagate_lengths
 from .params import (
     ENGINE_CLOSED_WHEN_APPLICABLE,
@@ -47,9 +47,9 @@ if TYPE_CHECKING:
 TAG_NUMERIC = "numeric"
 TAG_CLOSED = "closed_form"
 TAG_FAILED = "failed"
-#: dtype of a sweep's provenance grid, its largest array: as wide as its longest tag,
-#: 44 bytes per cell.
-_PROVENANCE = f"<U{max(map(len, (TAG_NUMERIC, TAG_CLOSED, TAG_FAILED)))}"
+#: The provenance tags; a sweep stores each cell's as its index here, one byte per cell.
+TAGS = (TAG_NUMERIC, TAG_CLOSED, TAG_FAILED)
+_NUMERIC, _CLOSED, _FAILED = range(len(TAGS))
 
 #: Cells per stacked call of :func:`sweep_2d`: memory stays flat in the grid size, and
 #: fig3 took ≈28 ms in chunks of 512 against ≈45 ms in rows of 101 (2-core guest).
@@ -108,17 +108,27 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        require_allocatable("sweep cell count", self.axis1.count * self.axis2.count, _PROVENANCE)
+        # the values grid is a sweep's widest per-cell array
+        require_allocatable("sweep cell count", self.axis1.count * self.axis2.count, np.float64)
 
 
 @dataclass
 class SweepGrid:
-    """Row-major sweep result: values[i, j] belongs to (axis1[i], axis2[j])."""
+    """Row-major sweep result: values[i, j] belongs to (axis1[i], axis2[j]).
+
+    ``codes[i, j]`` is the index of that cell's tag in :data:`TAGS`, one byte per
+    cell; :attr:`provenance` decodes the codes to the tag strings.
+    """
 
     spec: SweepSpec
     values: NDArray[np.float64]
-    provenance: NDArray[np.str_]
+    codes: NDArray[np.uint8]
     failures: int
+
+    @property
+    def provenance(self) -> NDArray[np.str_]:
+        """The decoded tag of every cell, as a new string array."""
+        return np.array(TAGS)[self.codes]
 
 
 @dataclass(frozen=True)
@@ -148,29 +158,33 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     with provenance "failed" and counted in ``failures``.
     """
     require_count("threads", threads, 1)
+    with_closed_forms = spec.engine == ENGINE_CLOSED_WHEN_APPLICABLE
+    if with_closed_forms:
+        from .closed_forms import closed_form_batch, covered
     shape = (spec.axis1.count, spec.axis2.count)
     values = np.full(shape, np.nan)
-    provenance = np.full(shape, TAG_FAILED, dtype=_PROVENANCE)
+    codes = np.full(shape, _FAILED, dtype=np.uint8)
     fixed = np.array([[getattr(spec.fixed, name)] for name in PARAM_AXES])
     rows = (PARAM_AXES.index(spec.axis1.name), PARAM_AXES.index(spec.axis2.name))
     a1, a2 = spec.axis1.grid(), spec.axis2.grid()
 
-    def record(where, n_s, ok, tag):
-        values.flat[where[ok]] = n_s[ok]
-        provenance.flat[where[ok]] = tag
+    def record(where, n_s, ok, code):
+        where = where[ok]
+        values.flat[where] = n_s[ok]
+        codes.flat[where] = code
 
     for start in range(0, values.size, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, values.size))
         cells = np.repeat(fixed, flat.size, axis=1)  # rows Γ, κ, Δ, L; one column per cell
         cells[rows[0]], cells[rows[1]] = a1[flat // shape[1]], a2[flat % shape[1]]
-        numeric = np.ones(flat.size, dtype=bool)
-        if spec.engine == ENGINE_CLOSED_WHEN_APPLICABLE:
-            numeric = ~covered(cells[1], cells[2])
-            n_s, _, _, _, ok = closed_form_batch(*cells[:, ~numeric])
-            record(flat[~numeric], n_s, ok, TAG_CLOSED)
-        record(flat[numeric], *_signal(*cells[:, numeric]), TAG_NUMERIC)
-    failures = int(np.count_nonzero(provenance == TAG_FAILED))
-    return SweepGrid(spec=spec, values=values, provenance=provenance, failures=failures)
+        if with_closed_forms:
+            closed = covered(cells[1], cells[2])
+            n_s, _, _, _, ok = closed_form_batch(*cells[:, closed])
+            record(flat[closed], n_s, ok, _CLOSED)
+            flat, cells = flat[~closed], cells[:, ~closed]
+        record(flat, *_signal(*cells), _NUMERIC)
+    failures = int(np.count_nonzero(codes == _FAILED))
+    return SweepGrid(spec=spec, values=values, codes=codes, failures=failures)
 
 
 def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint]:

@@ -418,8 +418,10 @@ _BASE = {"zenopdc", "zenopdc.cli", "zenopdc.params"}
     (["simulate", "--engine", "closed-form"], {"zenopdc.dynamics", "zenopdc.closed_forms"}),
     (["classify", "--kappa", "1"], {"zenopdc.regimes"}),
     (["dressed-check", "--seed", "1"], {"zenopdc.dynamics", "zenopdc.dressed"}),
-    (["sweep", "--config", "fig2"], {"zenopdc.dynamics", "zenopdc.closed_forms", "zenopdc.sweeps"}),
-    (["ridge", "--delta", "5"], {"zenopdc.dynamics", "zenopdc.closed_forms", "zenopdc.sweeps"}),
+    (["sweep", "--config", "fig2"], {"zenopdc.dynamics", "zenopdc.sweeps"}),
+    (["sweep", "--config", "fig2", "--engine", "closed_form_when_applicable"],
+     {"zenopdc.dynamics", "zenopdc.closed_forms", "zenopdc.sweeps"}),
+    (["ridge", "--delta", "5"], {"zenopdc.dynamics", "zenopdc.sweeps"}),
 ])
 def test_a_command_imports_only_the_modules_it_runs(argv, modules):
     proc = subprocess.run([sys.executable, "-X", "importtime", *CMD[1:], *argv],
@@ -635,6 +637,32 @@ def test_artifacts_are_canonical_json_and_csv_carries_the_json_values(tmp_path, 
     ]
 
 
+@pytest.mark.parametrize("slice_cells", [4096, 2])
+def test_sweep_artifacts_carry_each_cells_decoded_tag(tmp_path, capsys, monkeypatch, slice_cells):
+    from zenopdc import cli, sweeps
+    from zenopdc.sweeps import TAGS
+
+    monkeypatch.setattr(cli, "_SLICE", slice_cells)  # 2: each row of 3 cells spans two slices
+    grids = []
+
+    def recording(spec, threads=1, sweep_2d=sweeps.sweep_2d):
+        grids.append(sweep_2d(spec, threads))
+        return grids[-1]
+
+    monkeypatch.setattr(sweeps, "sweep_2d", recording)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_MIXED_SWEEP))
+    texts = {}
+    for fmt in ("json", "csv"):
+        assert cli.main(["sweep", "--config", str(config), "--format", fmt]) == 4
+        texts[fmt] = capsys.readouterr().out
+    tags = [[TAGS[code] for code in row] for row in grids[0].codes.tolist()]
+    assert {tag for row in tags for tag in row} == set(TAGS)
+    assert json.loads(texts["json"])["provenance"] == tags
+    csv_tags = [line.rpartition(",")[2] for line in texts["csv"].splitlines()[1:]]
+    assert csv_tags == [tag for row in tags for tag in row]
+
+
 # Rows of 9000 cells: each spans three of the writer's encoded slices.
 _WIDE_SWEEP = {
     "fixed": {"gamma": 0.5, "length": 1.5},
@@ -689,10 +717,10 @@ def test_streamed_sweep_artifacts_are_the_whole_text_bytes(tmp_path, capsys, nam
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sweep_artifact_memory_stays_at_the_sweeps(tmp_path):
-    # 2 x 200 000 cells: sweep_2d's grids grow the peak RSS by ≈21.7 MiB (44-byte <U11
-    # provenance; <U16 tags made it ≈29.4).  Built whole, the artifact grew it by 156 MiB (JSON)
-    # and 184 MiB (CSV); streamed, one slice of axis-2 reprs at a time, it grows it by
-    # ≈21.8 MiB (JSON) and ≈23.6 MiB (CSV).
+    # 2 x 200 000 cells: sweep_2d's grids grow the peak RSS by ≈5.3 MiB (float64 values and
+    # one-byte provenance codes; 44-byte <U11 tags made it ≈21.7).  Built whole, the artifact
+    # grew it by 156 MiB (JSON) and 184 MiB (CSV); streamed, one slice of axis-2 reprs at a
+    # time and the tags encoded from the codes, it grows it by ≈5.3 MiB (JSON) and ≈6.7 MiB (CSV).
     # VmHWM is the peak of the child's own image: ru_maxrss carries over the peak of the
     # pytest process it was forked from, which can hide the growth.  The artifacts are not
     # named big.json, which would overwrite the config that the CSV run reads.
@@ -720,7 +748,7 @@ for fmt in ("json", "csv"):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     growth_json, growth_csv = map(float, proc.stdout.split())
-    assert growth_json < 26.0 and growth_csv < 28.0  # MiB
+    assert growth_json < 8.0 and growth_csv < 10.0  # MiB
     assert (tmp_path / "big_out.csv").read_text().count("\n") == 1 + 2 * 200_000
 
 

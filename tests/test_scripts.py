@@ -62,6 +62,17 @@ def test_ridge_scan_writes_the_ridge_and_its_fit(tmp_path):
     assert 0.9 <= slope <= 1.1
 
 
+def test_artifact_digests_are_the_same_on_every_run():
+    first = _run("artifact_digests.py")
+    assert first == _run("artifact_digests.py")
+    lines = [line.split("  ") for line in first.splitlines()]
+    assert [name for _, _, name in lines] == [
+        f"{artifact} {fmt}" for artifact in ("sweep fig2", "sweep fig3", "sweep mixed", "ridge 3:10:8")
+        for fmt in ("json", "csv")]
+    assert all(len(digest) == 64 for digest, _, _ in lines)
+    assert {code for _, code, _ in lines} == {"exit 0", "exit 4"}  # the mixed sweep's cells fail
+
+
 def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
     head = shutil.which("git") and subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS,
                                                   capture_output=True).returncode == 0

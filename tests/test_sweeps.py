@@ -31,7 +31,7 @@ from zenopdc.dressed import dressed_bogoliubov_map, resonant_vs_qpm
 from zenopdc.dynamics import propagate_batch, propagate_exact, vacuum_occupations
 from zenopdc import dressed, dynamics, sweeps
 from zenopdc.params import require_ok
-from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC
+from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC, TAGS
 
 
 def _axis(name="kappa", start=0.0, stop=2.0, count=5):
@@ -190,11 +190,27 @@ def test_row_batches_match_the_cell_by_cell_sweep(engine, chunk, monkeypatch):
     assert TAG_FAILED not in provenance[1:, 0]
 
 
+def test_provenance_is_one_byte_code_per_cell_decoded_to_the_tags():
+    # kappa = -1 is invalid, kappa = 0 closed form, gamma >= 200 at L = 2.5 overflows
+    spec = SweepSpec(
+        fixed=CouplerParams(0.5, 0.0, 1.0, 2.5),
+        axis1=_axis("kappa", -1.0, 3.0, 5),
+        axis2=_axis("gamma", 0.5, 400.5, 3),
+        engine=ENGINE_CLOSED_WHEN_APPLICABLE,
+    )
+    grid = sweep_2d(spec)
+    assert grid.codes.dtype == np.uint8 and grid.codes.nbytes == grid.values.size
+    assert set(grid.codes.ravel().tolist()) == {0, 1, 2}
+    assert grid.provenance.tolist() == [[TAGS[c] for c in row] for row in grid.codes.tolist()]
+    assert set(grid.provenance.ravel()) == {TAG_NUMERIC, TAG_CLOSED, TAG_FAILED}
+    assert grid.failures == np.count_nonzero(grid.codes == TAGS.index(TAG_FAILED)) > 0
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_sweep_memory_does_not_grow_with_the_row():
     # One axis-1 row of 200 000 cells: chunked, the stacked work stays a few MiB, and the
-    # growth is the values and provenance grids (≈21.7 MiB with 44-byte <U11 tags; ≈29.4 with
-    # <U16 ones); one stack per row took ≈310 MiB.
+    # growth is the 8-byte values and 1-byte provenance-code grids, ≈5.3 MiB in all (44-byte
+    # <U11 tags made it ≈21.7); one stack per row took ≈310 MiB.
     # VmHWM is the child's own peak; ru_maxrss carries over the peak of pytest's process.
     code = """
 from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
@@ -211,7 +227,7 @@ print(peak() - before)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 26.0  # MiB
+    assert float(proc.stdout) < 8.0  # MiB
 
 
 def test_stacked_paths_never_split_the_transfer_matrix(monkeypatch):
@@ -416,6 +432,21 @@ def test_ridge_input_validation():
 def test_flat_landscape_warns():
     with pytest.warns(FlatLandscapeWarning):
         find_anti_zeno_ridge(0.5, 1e-7, [5.0])
+
+
+@pytest.mark.parametrize("rise, flat", [(0.5e-6, True), (2e-6, False)])
+def test_flat_landscape_is_a_scan_varying_by_at_most_a_millionth(monkeypatch, rise, flat):
+    # A smooth peak at kappa = delta whose scan max/min is 1 + rise, to rounding.
+    def peak(gamma, kappa, delta, length):
+        n_s = 1.0 + rise * np.exp(-((kappa - delta) ** 2))
+        return n_s, np.ones(n_s.shape, dtype=bool)
+
+    monkeypatch.setattr(sweeps, "_signal", peak)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (point,) = find_anti_zeno_ridge(0.5, 1.5, [5.0])
+    assert [w.category for w in caught] == ([FlatLandscapeWarning] if flat else [])
+    assert point.kappa_opt == pytest.approx(5.0, abs=1e-4)  # a peak this flat rounds near its top
 
 
 def test_ridge_linearity_recovers_synthetic_line():
