@@ -13,8 +13,10 @@ PYTHONDONTWRITEBYTECODE=1 (so each run compiles the package, as the
 benchmark's fresh checkouts do); odd seeds run the parent first, even seeds
 the change.  It prints, per workload and end-to-end metric of
 BENCHMARK.json, both medians, the pairs the change won and whether its
-median is within the metric's bound; ``--out`` writes the runs and that
-summary as JSON, with the ``machine`` block of the first run's detail line.
+median is within the metric's bound, and beside ``pass_ref`` each side's
+median minor page faults per run (``os.wait4``); ``--out`` writes the runs
+and that summary as JSON, with the ``machine`` block of the first run's
+detail line.
 The trees live in a temporary directory under ``TMPDIR``.
 Run from anywhere inside the repository:
 
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,21 +69,34 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
              smoke: bool) -> tuple[dict, dict | None]:
     """The result line of one benchmark run and the ``machine`` block of its detail line.
 
-    A run that did not finish gives a failed record and no machine block.
+    The record also holds ``minflt``, the minor page faults of the run's process and the
+    processes it waited for (``os.wait4``).  A run that did not finish gives a failed
+    record and no machine block.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0", *(["--smoke"] if smoke else [])]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
-                          timeout=60 + 20 * seconds)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=tree, env=env, stdout=out, stderr=err)
+        timer = threading.Timer(60 + 20 * seconds, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
     try:
-        detail, result = map(json.loads, proc.stdout.splitlines()[-2:])
+        detail, result = map(json.loads, stdout.splitlines()[-2:])
         return ({"correct": result["correct"], "failed": result["failed"],
+                 "minflt": usage.ru_minflt,
                  "metrics": {name: m["value"] for name, m in result["metrics"].items()}},
                 detail["machine"])
     except (KeyError, TypeError, ValueError):
-        return ({"correct": False, "failed": None, "metrics": {},
-                 "error": (proc.stderr.strip().splitlines() or ["no output"])[-1]}, None)
+        return ({"correct": False, "failed": None, "minflt": usage.ru_minflt, "metrics": {},
+                 "error": (stderr.strip().splitlines() or ["no output"])[-1]}, None)
 
 
 def spread(values: list[float]) -> dict:
@@ -155,22 +171,28 @@ def main(argv=None) -> int:
 
     summary = {w: {m["name"]: summarize(runs[w], m) for m in spec["end_to_end"]}
                for w in workloads}
+    # Page faults count what the allocator did, and repeat where a time is noisy.
+    faults = {w: {side: statistics.median(pair[side]["minflt"] for pair in runs[w])
+                  for side in SIDES} for w in workloads}
     for workload, metrics in summary.items():
         for name, s in metrics.items():
             if s["pairs"]:
                 parent = s["parent"]
+                note = (f"  minflt parent {faults[workload]['parent']:.0f} "
+                        f"change {faults[workload]['change']:.0f}" if name == "pass_ref" else "")
                 print(f"{workload:14s} {name:13s} parent {parent['median']:.4g} "
                       f"(q1-q3 {parent['q1']:.4g}-{parent['q3']:.4g}) "
                       f"change {s['change']['median']:.4g} "
                       f"({s['median_ratio_change_over_parent'] - 1:+.1%}) "
-                      f"wins {s['change_wins']}/{s['pairs']}{bound_note(s)}")
+                      f"wins {s['change_wins']}/{s['pairs']}{bound_note(s)}{note}")
     all_runs = [pair[side] for pairs_ in runs.values() for pair in pairs_ for side in SIDES]
     correct = all(r["correct"] for r in all_runs)
     if args.out:
         doc = {"base": args.base, "pairs": pairs, "seconds": spec["run_seconds"],
                "smoke": args.smoke, "machine": machine,
                "runs_correct": sum(r["correct"] for r in all_runs),
-               "runs_total": len(all_runs), "summary": summary, "runs": runs}
+               "runs_total": len(all_runs), "summary": summary, "minflt_median": faults,
+               "runs": runs}
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1
 

@@ -20,7 +20,11 @@ frame phase factors in, ``(w, n, ok)`` out: W, its vacuum occupations ``n``
 and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
-each masked squaring is a handful of elementwise numpy calls over all cells.
+each masked squaring is a handful of numpy calls over all cells, each
+writing into a workspace of planes: a real product is one ``np.einsum``, a
+complex one its terms multiplied and summed.  :func:`batch_propagator`
+keeps one workspace for a caller that propagates stack after stack (a
+sweep's chunks), so their planes are allocated once, not once per stack.
 :func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
 write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
@@ -99,10 +103,14 @@ _PADE_13 = (
 _PADE_PAIRS = np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
 #: The 3×3 identity as planes, shape (3, 3, 1), broadcasting over the cells.
 _IDENTITY = np.eye(3)[..., None]
-#: Index planes of the adjugate, indices mod 3:
+#: The adjugate's four factors as indices into the nine planes of D, indices mod 3:
 #: adj(D)[i, j] = D[j+1, i+1]·D[j+2, i+2] - D[j+1, i+2]·D[j+2, i+1].
-_R1, _C1 = (np.indices((3, 3))[::-1] + 1) % 3
-_R2, _C2 = (np.indices((3, 3))[::-1] + 2) % 3
+_I, _J = np.indices((3, 3))
+_ADJ = tuple(3 * ((_J + r) % 3) + (_I + c) % 3 for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)))
+#: Dtype and leading shape of each plane stack the kernel computes in, in the order
+#: :func:`_expm` unpacks them: six real ones, then six complex ones.
+_PLANES = ([(np.float64, lead) for lead in [(3, 3)] * 4 + [(2, 3, 3)] * 2]
+           + [(np.complex128, lead) for lead in [(3, 3)] * 5 + [(3, 3, 3)]])
 #: Largest 1-norm for which Padé [13/13] meets double precision unscaled (Higham 2005, Table 2.3).
 _THETA_13 = 5.371920351148152
 #: Most squarings that leave a significant digit: each doubles the rounding error,
@@ -161,9 +169,86 @@ def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
     return m.transpose(*range(2, m.ndim), 0, 1)  # planes (3, 3, ...) viewed as (..., 3, 3)
 
 
-def _mul(x, y):
-    """Matrix products x·y on planes: x is (3, 3, n), y is (..., 3, 3, n)."""
-    return (x[:, :, None] * y[..., None, :, :, :]).sum(axis=-3)
+def _workspace(cells: int) -> list[NDArray]:
+    """Flat buffers that hold the kernel's plane stacks for up to ``cells`` cells."""
+    return [np.empty(math.prod(lead) * cells, dtype) for dtype, lead in _PLANES]
+
+
+def _planes(n: int, workspace: list[NDArray] | None) -> list[NDArray]:
+    """The kernel's plane stacks for ``n`` cells, each of shape ``lead + (n,)`` and contiguous.
+
+    They are views of the workspace's buffers if it holds ``n`` cells, else new arrays,
+    one per stack, none larger than the (3, 3, 3, n) complex products.  A view is laid
+    out as a new array is, so the kernel computes bitwise the same in it.
+    """
+    if workspace is None or workspace[0].size < 9 * n:
+        return [np.empty((*lead, n), dtype) for dtype, lead in _PLANES]
+    return [buffer[: math.prod(lead) * n].reshape(*lead, n)
+            for buffer, (_, lead) in zip(workspace, _PLANES)]
+
+
+def _mul(x, y, out, terms):
+    """Complex matrix products x·y on planes (3, 3, n) into ``out``, via the (3, 3, 3, n) ``terms``."""
+    np.multiply(x[:, :, None], y[None], out=terms)
+    return terms.sum(axis=-3, out=out)
+
+
+def _mul_real(x, y, out):
+    """Real matrix products x·y on planes into ``out``: x is (3, 3, n), y is (..., 3, 3, n).
+
+    ``np.einsum`` without ``optimize`` uses no BLAS and builds no (..., 3, 3, 3, n)
+    temporary.  Its values are bitwise those of multiplying and then summing the
+    terms, as :func:`_mul` does, except for the sign of a NaN where two NaNs meet
+    (pinned by a test).
+    """
+    return np.einsum("ijn,...jkn->...ikn", x, y, out=out)
+
+
+def _expm(m, t, workspace=None) -> NDArray[np.complex128]:
+    """:func:`expm_i`, computed in the plane stacks of :func:`_planes`."""
+    m, t = np.asarray(m), np.asarray(t)
+    stack = np.broadcast_shapes(t.shape, m.shape[:-2])
+    n = math.prod(stack)
+    b, a2, a4, a6, inner, wv, d, adj, r, x, y, terms = _planes(n, workspace)
+    # m as planes: its 3×3 axes first, its stack axes after as many new axes as t has more
+    m = m.reshape((1,) * (len(stack) + 2 - m.ndim) + m.shape).transpose(-2, -1, *range(len(stack)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.multiply(t, m, out=b.reshape(3, 3, *stack))  # A = i b with b real
+        s = np.ceil(np.log2(np.abs(b, out=a2).sum(axis=0).max(axis=0) / _THETA_13)).clip(0)
+        fit = s <= _MAX_SQUARINGS  # False also for a norm that is inf or NaN
+        s = np.where(fit, s, 0.0).astype(np.intp)
+        # A NaN scale makes every entry of a rejected cell NaN, and only of that cell.
+        b *= np.where(fit, np.ldexp(1.0, -s), np.nan)
+        # A = i b is purely imaginary, so A², A⁴, A⁶ and the even part V are real,
+        # and the odd part is U = i b W with W real.
+        np.negative(_mul_real(b, b, a2), out=a2)
+        _mul_real(a2, a2, a4)
+        _mul_real(a4, a2, a6)
+        # Each sum below adds its terms left to right, forming the next term in the
+        # other pair buffer: inner = c6·A⁶ + c5·A⁴ + c4·A², then
+        # (W, V) = A⁶·inner + c3·A⁶ + c2·A⁴ + c1·A² + c0·I.
+        c = _PADE_PAIRS
+        np.multiply(c[6], a6, out=inner)
+        inner += np.multiply(c[5], a4, out=wv)
+        inner += np.multiply(c[4], a2, out=wv)
+        _mul_real(a6, inner, wv)
+        wv += np.multiply(c[3], a6, out=inner)
+        wv += np.multiply(c[2], a4, out=inner)
+        wv += np.multiply(c[1], a2, out=inner)
+        wv += c[0] * _IDENTITY
+        w, v = wv
+        np.subtract(v, np.multiply(1j, _mul_real(b, w, a2), out=x), out=d)  # D = V - i b W
+        # adj(D) = x·y - adj·t from the four gathered factors x, y, adj and t
+        for i, factor in zip(_ADJ, (x, y, adj, terms[0])):
+            d.reshape(9, n).take(i, axis=0, out=factor, mode="clip")
+        adj *= terms[0]
+        np.subtract(np.multiply(x, y, out=x), adj, out=adj)
+        det = np.multiply(d[0], adj[:, 0], out=x[0]).sum(axis=0)  # expanded along row 0
+        # r = (V - U)⁻¹(V + U), as V + U = conj(D)
+        np.divide(_mul(adj, np.conjugate(d, out=y), r, terms), det, out=r)
+        for j in range(s.max(initial=0)):
+            np.copyto(r, _mul(r, r, y, terms), where=s > j)
+    return r.reshape(9, n).T.copy().reshape(*stack, 3, 3)
 
 
 def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
@@ -186,30 +271,7 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     significant digit, comes back NaN; one whose entries overflow float64
     comes back non-finite.  Neither raises or warns, and callers check.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        b = np.asarray(t)[..., None, None] * m  # A = i b with b real
-        shape = b.shape
-        b = np.ascontiguousarray(b.reshape(-1, 9).T).reshape(3, 3, -1)
-        s = np.ceil(np.log2(np.abs(b).sum(axis=0).max(axis=0) / _THETA_13)).clip(0)
-        fit = s <= _MAX_SQUARINGS  # False also for a norm that is inf or NaN
-        s = np.where(fit, s, 0.0).astype(np.intp)
-        # A NaN scale makes every entry of a rejected cell NaN, and only of that cell.
-        b = b * np.where(fit, np.ldexp(1.0, -s), np.nan)
-        # A = i b is purely imaginary, so A², A⁴, A⁶ and the even part V are real,
-        # and the odd part is U = i b W with W real.
-        a2 = -_mul(b, b)
-        a4 = _mul(a2, a2)
-        a6 = _mul(a4, a2)
-        c = _PADE_PAIRS
-        inner = c[6] * a6 + c[5] * a4 + c[4] * a2
-        w, v = _mul(a6, inner) + c[3] * a6 + c[2] * a4 + c[1] * a2 + c[0] * _IDENTITY
-        d = v - 1j * _mul(b, w)
-        adj = d[_R1, _C1] * d[_R2, _C2] - d[_R1, _C2] * d[_R2, _C1]
-        det = (d[0] * adj[:, 0]).sum(axis=0)  # expanded along row 0
-        r = _mul(adj, d.conj()) / det  # (V - U)⁻¹(V + U), as V + U = conj(D)
-        for j in range(s.max(initial=0)):
-            r = np.where(s > j, _mul(r, r), r)
-    return np.ascontiguousarray(r.reshape(9, -1).T).reshape(shape)
+    return _expm(m, t)
 
 
 def split_transfer(
@@ -265,9 +327,27 @@ def propagate_batch(gamma, kappa, delta, length):
     ``ok = False`` and NaN W and occupations; nothing is raised for it.
     :func:`propagate_exact` is one cell of it.
     """
+    return _propagate(gamma, kappa, delta, length)
+
+
+def batch_propagator(cells: int):
+    """:func:`propagate_batch` for a caller that propagates stack after stack.
+
+    The returned function takes and returns what :func:`propagate_batch`
+    does, bitwise, and computes every stack of up to ``cells`` cells in one
+    kernel workspace, so a loop over such stacks (a sweep's chunks) allocates
+    the kernel's planes once instead of once per stack; a larger stack gets
+    planes of its own.  Use one per loop: calls that share it must not run
+    at the same time.
+    """
+    workspace = _workspace(cells)
+    return lambda gamma, kappa, delta, length: _propagate(gamma, kappa, delta, length, workspace)
+
+
+def _propagate(gamma, kappa, delta, length, workspace=None):
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
-    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), _frame_phases(d, t))
+    w, n, finite = propagate_step(_expm(_generators(g, k, d), t, workspace), _frame_phases(d, t))
     ok &= finite
     w[~ok] = n[~ok] = np.nan
     return w, n, ok

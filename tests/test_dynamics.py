@@ -414,6 +414,72 @@ def test_expm_i_gives_up_after_exactly_52_squarings():
     assert np.isfinite(w[0]).all() and np.isnan(w[1]).all()
 
 
+#: Entries that stress a product's rounding and special cases.
+_EDGE_ENTRIES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, np.finfo(float).max, 5e-324]
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.sampled_from([1, 2, 33, 512, 513]), seed=st.integers(0, 2**32 - 1),
+       edge_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]), stacked=st.booleans())
+def test_real_plane_products_are_bitwise_multiply_then_sum(n, seed, edge_share, stacked):
+    # The kernel's real 3×3 products must be bitwise the terms multiplied and then summed
+    # in order; an einsum that fused (FMA) or reordered the sum would break it.  The sign
+    # of a NaN is not a value: where a NaN from the operands (positive) and one made by
+    # inf·0 (negative on x86) meet, einsum keeps the product's NaN and the summed terms
+    # the accumulator's, so NaNs are compared by place only.
+    rng = np.random.default_rng(seed)
+
+    def planes(*lead):
+        x = rng.standard_normal((*lead, 3, 3, n)) * 10.0 ** rng.integers(-300, 300, (*lead, 3, 3, n))
+        edge = rng.random(x.shape) < edge_share
+        x[edge] = rng.choice(_EDGE_ENTRIES, np.count_nonzero(edge))
+        return x
+
+    x, y = planes(), planes(*(2,) * stacked)
+    with np.errstate(all="ignore"):
+        want = (x[:, :, None] * y[..., None, :, :, :]).sum(axis=-3)
+        out = np.full(want.shape, 7.0)  # a reused buffer's stale contents must not count
+        got = dynamics._mul_real(x, y, out)
+    assert got is out
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_a_reused_workspace_leaves_nothing_for_the_next_stack():
+    # One propagator, as one sweep holds it: stacks with invalid, overflowing and
+    # 3-squaring cells, then stacks that need no squaring, then a shorter stack.
+    # Each is bitwise the stack propagated alone and, cell by cell, propagate_batch of one cell.
+    stacks = [
+        ([-1.0, 200.0, 0.5, 0.5, 1000.0], [0.5, 0.0, 1.0, np.nan, 0.0], [0.0, 0.0, 20.0, 1.0, 0.0],
+         [1.0, 2.5, 2.0, 1.0, 2.5]),
+        ([0.5, 0.5, 300.0, 0.3, -0.2], [1.0, 0.2, 1.0, 9.0, 1.0], [-20.0, 19.0, 2.0, 0.0, 1.0],
+         [2.0, 2.0, 2.5, 2.5, 1.0]),
+        ([0.5, 0.2, 0.0, 0.7, 0.5], [1.0, 0.5, 0.3, 0.0, 0.5], [1.0, -2.0, 0.0, 0.5, 0.0],
+         [1.0, 0.5, 2.0, 1.5, 0.0]),
+        ([0.5, 0.2, 0.1, 0.6, 0.4], [0.5, 1.0, 0.3, 0.6, 1.0], [-1.0, 1.0, 2.0, -0.5, 0.3],
+         [1.5, 1.0, 1.0, 2.0, 1.0]),
+        ([0.5, 0.1], [0.5, 2.0], [1.0, -1.0], [1.0, 0.5]),
+    ]
+    with np.errstate(divide="ignore"):  # log2 of the zero norm at L = 0
+        squarings = [_squarings(dynamics._generators(*np.nan_to_num(s[:3])), np.asarray(s[3]))
+                     for s in stacks]
+    assert [np.count_nonzero(s == 3) for s in squarings] == [1, 2, 0, 0, 0]
+    assert [int(s.max()) for s in squarings] == [9, 8, 0, 0, 0]
+    propagate = dynamics.batch_propagator(5)
+    oks = []
+    for stack in stacks:
+        got = propagate(*stack)
+        for array, want in zip(got, propagate_batch(*stack)):
+            assert array.tobytes() == want.tobytes()
+        for i, cell in enumerate(zip(*stack)):
+            for array, want in zip(got, propagate_batch(*cell)):
+                assert array[i].tobytes() == want.tobytes()
+        oks.append(got[2].tolist())
+    assert oks[:2] == [[False, False, True, False, False], [True, True, False, True, False]]
+    assert all(all(ok) for ok in oks[2:])
+
+
 def _columns(cells):
     return [np.array([getattr(p, name) for p in cells]) for name in ("gamma", "kappa", "delta", "length")]
 

@@ -92,6 +92,11 @@ def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
             assert side["min"] == side["q1"] == side["median"] == side["q3"] == side["max"]
             assert side["runs"] == [side["median"]]
     assert "zeno_envelope  pass_ref" in stdout and "(q1-q3 " in stdout
+    pair = doc["runs"]["zeno_envelope"][0]
+    faults = {side: pair[side]["minflt"] for side in ("parent", "change")}
+    assert all(isinstance(count, int) and count > 0 for count in faults.values())
+    assert doc["minflt_median"] == {"zeno_envelope": faults}  # one pair: its own counts
+    assert f"minflt parent {faults['parent']} change {faults['change']}" in stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.json"]  # trees removed
 
 

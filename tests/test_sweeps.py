@@ -2,8 +2,10 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -188,6 +190,88 @@ def test_row_batches_match_the_cell_by_cell_sweep(engine, chunk, monkeypatch):
     assert set(provenance[0]) == {TAG_FAILED}  # kappa = -1
     assert set(provenance[1:, 1:].ravel()) == {TAG_FAILED}  # gamma = 200.5, 400.5
     assert TAG_FAILED not in provenance[1:, 0]
+
+
+@pytest.mark.parametrize("engine", [ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE])
+def test_chunks_in_one_workspace_match_the_cell_by_cell_sweep(engine, monkeypatch):
+    # The chunks of one sweep share a kernel workspace.  Rows run from Δ = -24 (3 squarings
+    # at Γ = 0) to Δ = 0 (none); every row holds an invalid cell (Γ = -100) and cells of 6
+    # squarings (Γ = 100) and 7 that overflow (Γ = 200 at L = 2.5); chunks of 5 straddle
+    # the rows of 4, and the last chunk holds 1 cell.
+    monkeypatch.setattr(sweeps, "_CHUNK", 5)
+    spec = SweepSpec(
+        fixed=CouplerParams(0.5, 0.25, 0.0, 2.5),
+        axis1=_axis("delta", -24.0, 0.0, 4),
+        axis2=_axis("gamma", -100.0, 200.0, 4),
+        engine=engine,
+    )
+    grid = sweep_2d(spec)
+    values, provenance = _cell_by_cell(spec)
+    assert grid.values.tobytes() == values.tobytes()
+    assert np.array_equal(grid.provenance, provenance)
+    assert (provenance[:, [0, 3]] == TAG_FAILED).all() and (provenance[:, 1:3] != TAG_FAILED).all()
+
+
+def _small_specs():
+    """A fig2-like (length × κ) and a fig3-like (κ × Δ) spec, and the latter with closed forms."""
+    fig2 = SweepSpec(CouplerParams(0.5, 0.0, 5.0, 0.0), _axis("length", 0.0, 3.0, 13),
+                     _axis("kappa", 0.0, 10.0, 21))
+    fig3 = SweepSpec(CouplerParams(0.5, 0.0, 0.0, 1.5), _axis("kappa", 0.0, 10.0, 21),
+                     _axis("delta", -10.0, 10.0, 17))
+    return [fig2, fig3, replace(fig3, engine=ENGINE_CLOSED_WHEN_APPLICABLE)]
+
+
+def test_concurrent_sweeps_share_no_buffer(monkeypatch):
+    # Each sweep owns its workspace: sweeps running at once in threads (numpy releases
+    # the GIL in its loops, and a short switch interval interleaves the rest) must each
+    # give bitwise their serial result.
+    monkeypatch.setattr(sweeps, "_CHUNK", 64)  # several chunks per sweep
+    specs = _small_specs()
+    serial = [sweep_2d(spec) for spec in specs]
+    start = threading.Barrier(len(specs))
+    mismatches = []
+
+    def run(spec, want):
+        for _ in range(20):
+            start.wait(timeout=60)
+            grid = sweep_2d(spec)
+            if grid.values.tobytes() != want.values.tobytes() or grid.codes.tobytes() != want.codes.tobytes():
+                mismatches.append(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=pair) for pair in zip(specs, serial)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts are specific to Linux with glibc's allocator")
+def test_repeated_sweeps_fault_in_no_new_memory():
+    # A sweep allocates its kernel workspace once, so a repeated fig2 sweep in a fresh process
+    # takes ≈100 minor page faults.  Freeing and re-allocating the planes in every chunk took
+    # 1150–1400: glibc trims the top of the heap, and each chunk faulted it back in.
+    code = """
+import resource
+from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
+spec = SweepSpec(CouplerParams(0.5, 0.0, 5.0, 0.0), SweepAxis("length", 0.0, 3.0, 61),
+                 SweepAxis("kappa", 0.0, 10.0, 101))
+sweep_2d(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    sweep_2d(spec)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 400
 
 
 def test_provenance_is_one_byte_code_per_cell_decoded_to_the_tags():
