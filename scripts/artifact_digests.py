@@ -7,6 +7,9 @@ Each line is ``<sha256>  exit <code>  <artifact>``.  The set:
   a closed_form_when_applicable sweep          JSON and CSV; its grid holds
     with overflowing cells                     all three provenance tags
   ridge --delta 3:10:8                         JSON and CSV
+  simulate --gamma 0.5 --kappa 8 --delta 6     JSON; a one-cell exponential
+    --length 3                                 that takes 3 squarings
+  dressed-check --seed 3                       JSON
 
 The package is imported from the ``src/`` next to this script, so running
 the script of each of two checkouts and diffing the outputs tells whether
@@ -38,14 +41,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         mixed = Path(tmp) / "mixed.json"
         mixed.write_text(json.dumps(MIXED_SWEEP))
+        both = ("json", "csv")
         runs = {
-            "sweep fig2": ["sweep", "--config", "fig2"],
-            "sweep fig3": ["sweep", "--config", "fig3"],
-            "sweep mixed": ["sweep", "--config", str(mixed)],
-            "ridge 3:10:8": ["ridge", "--delta", "3:10:8"],
+            "sweep fig2": (["sweep", "--config", "fig2"], both),
+            "sweep fig3": (["sweep", "--config", "fig3"], both),
+            "sweep mixed": (["sweep", "--config", str(mixed)], both),
+            "ridge 3:10:8": (["ridge", "--delta", "3:10:8"], both),
+            "simulate 0.5 8 6 3": (["simulate", "--gamma", "0.5", "--kappa", "8", "--delta", "6",
+                                    "--length", "3"], ("json",)),
+            "dressed-check 3": (["dressed-check", "--seed", "3"], ("json",)),
         }
-        for name, argv in runs.items():
-            for fmt in ("json", "csv"):
+        for name, (argv, formats) in runs.items():
+            for fmt in formats:
                 out = Path(tmp) / f"artifact.{fmt}"
                 code = cli.main([*argv, "--format", fmt, "--out", str(out)])
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()

@@ -21,10 +21,11 @@ and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split 
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of numpy calls over all cells, each
-writing into a workspace of planes: a real product is one ``np.einsum``, a
-complex one its terms multiplied and summed.  :func:`batch_propagator`
-keeps one workspace for a caller that propagates stack after stack (a
-sweep's chunks), so their planes are allocated once, not once per stack.
+writing into planes: a real product is one ``np.einsum``, a complex one its
+terms multiplied and summed.  Each thread computes every stack of up to
+:data:`STACK_CELLS` cells in one workspace of planes, allocated on its
+first kernel call and kept while the thread lives, so no caller allocates
+kernel memory and a loop of stacks (a sweep's chunks) faults in none.
 :func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
 write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
@@ -42,6 +43,7 @@ phase limit and a step budget bound its work.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -108,7 +110,7 @@ _IDENTITY = np.eye(3)[..., None]
 _I, _J = np.indices((3, 3))
 _ADJ = tuple(3 * ((_J + r) % 3) + (_I + c) % 3 for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)))
 #: Dtype and leading shape of each plane stack the kernel computes in, in the order
-#: :func:`_expm` unpacks them: six real ones, then six complex ones.
+#: :func:`expm_i` unpacks them: six real ones, then six complex ones.
 _PLANES = ([(np.float64, lead) for lead in [(3, 3)] * 4 + [(2, 3, 3)] * 2]
            + [(np.complex128, lead) for lead in [(3, 3)] * 5 + [(3, 3, 3)]])
 #: Largest 1-norm for which Padé [13/13] meets double precision unscaled (Higham 2005, Table 2.3).
@@ -116,6 +118,13 @@ _THETA_13 = 5.371920351148152
 #: Most squarings that leave a significant digit: each doubles the rounding error,
 #: and 2^s·u >= 1 for the unit roundoff u = 2^-53 once s exceeds the mantissa bits.
 _MAX_SQUARINGS = np.finfo(np.float64).nmant
+#: Cells of the largest stack the kernel computes in its thread's workspace, 1728 B per
+#: cell (0.84 MiB); a larger stack gets planes of its own.  ``sweeps`` chunks by it.  Sweeps in chunks of
+#: 512 took fig3 10.9–11.1 ms, of 256 13.4–15.1 and of 1024, in twice the memory,
+#: 9.5–9.7; fig2 took 6.6–6.9, 8.3–9.6 and 6.6–6.9 ms (min of 15, 2-core guest).
+STACK_CELLS = 512
+#: Each thread's workspace, one flat buffer per plane stack, made on its first kernel call.
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -169,22 +178,20 @@ def _generators(gamma, kappa, delta) -> NDArray[np.float64]:
     return m.transpose(*range(2, m.ndim), 0, 1)  # planes (3, 3, ...) viewed as (..., 3, 3)
 
 
-def _workspace(cells: int) -> list[NDArray]:
-    """Flat buffers that hold the kernel's plane stacks for up to ``cells`` cells."""
-    return [np.empty(math.prod(lead) * cells, dtype) for dtype, lead in _PLANES]
-
-
-def _planes(n: int, workspace: list[NDArray] | None) -> list[NDArray]:
+def _planes(n: int) -> list[NDArray]:
     """The kernel's plane stacks for ``n`` cells, each of shape ``lead + (n,)`` and contiguous.
 
-    They are views of the workspace's buffers if it holds ``n`` cells, else new arrays,
-    one per stack, none larger than the (3, 3, 3, n) complex products.  A view is laid
-    out as a new array is, so the kernel computes bitwise the same in it.
+    Up to :data:`STACK_CELLS` cells they are views of this thread's workspace,
+    else new arrays, one per stack.  A view is laid out as a new array is, so the
+    kernel computes bitwise the same in it.
     """
-    if workspace is None or workspace[0].size < 9 * n:
+    if n > STACK_CELLS:
         return [np.empty((*lead, n), dtype) for dtype, lead in _PLANES]
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = [np.empty(math.prod(lead) * STACK_CELLS, dtype)
+                             for dtype, lead in _PLANES]
     return [buffer[: math.prod(lead) * n].reshape(*lead, n)
-            for buffer, (_, lead) in zip(workspace, _PLANES)]
+            for buffer, (_, lead) in zip(_THREAD.workspace, _PLANES)]
 
 
 def _mul(x, y, out, terms):
@@ -204,12 +211,30 @@ def _mul_real(x, y, out):
     return np.einsum("ijn,...jkn->...ikn", x, y, out=out)
 
 
-def _expm(m, t, workspace=None) -> NDArray[np.complex128]:
-    """:func:`expm_i`, computed in the plane stacks of :func:`_planes`."""
+def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
+    """exp(i m t) for a real 3x3 generator or a stack (..., 3, 3) of them.
+
+    ``t`` broadcasts over the stack.  This is scaling and squaring with one
+    Padé [13/13] approximant (Higham 2005), vectorized over the stack: each
+    matrix A = i m t gets its own scaling 2^-s with s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉).
+    The stack is laid out as planes, one contiguous (3, 3, n) array whose entry
+    [i, j] is a row over the n cells, so every step is an elementwise numpy
+    call and a matrix comes out bitwise as it would from a call on it alone.
+    The Padé solve is a closed form: A is purely imaginary, so the even part V
+    and U/i are real, the numerator V + U is the conjugate of the denominator
+    D = V - U, and exp(A) ≈ D⁻¹·conj(D) = adj(D)·conj(D)/det(D).  Each squaring
+    runs on the whole stack and keeps the product only where s is not used up.
+    Unlike an eigendecomposition it needs no switch near the defective set,
+    where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
+    |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite, or that needs
+    more than 52 squarings (‖A‖₁ > 2^52·θ₁₃ ≈ 2.4e16) and so keeps no
+    significant digit, comes back NaN; one whose entries overflow float64
+    comes back non-finite.  Neither raises or warns, and callers check.
+    """
     m, t = np.asarray(m), np.asarray(t)
     stack = np.broadcast_shapes(t.shape, m.shape[:-2])
     n = math.prod(stack)
-    b, a2, a4, a6, inner, wv, d, adj, r, x, y, terms = _planes(n, workspace)
+    b, a2, a4, a6, inner, wv, d, adj, r, x, y, terms = _planes(n)
     # m as planes: its 3×3 axes first, its stack axes after as many new axes as t has more
     m = m.reshape((1,) * (len(stack) + 2 - m.ndim) + m.shape).transpose(-2, -1, *range(len(stack)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -249,29 +274,6 @@ def _expm(m, t, workspace=None) -> NDArray[np.complex128]:
         for j in range(s.max(initial=0)):
             np.copyto(r, _mul(r, r, y, terms), where=s > j)
     return r.reshape(9, n).T.copy().reshape(*stack, 3, 3)
-
-
-def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
-    """exp(i m t) for a real 3x3 generator or a stack (..., 3, 3) of them.
-
-    ``t`` broadcasts over the stack.  This is scaling and squaring with one
-    Padé [13/13] approximant (Higham 2005), vectorized over the stack: each
-    matrix A = i m t gets its own scaling 2^-s with s = max(0, ⌈log2(‖A‖₁/θ₁₃)⌉).
-    The stack is laid out as planes, one contiguous (3, 3, n) array whose entry
-    [i, j] is a row over the n cells, so every step is an elementwise numpy
-    call and a matrix comes out bitwise as it would from a call on it alone.
-    The Padé solve is a closed form: A is purely imaginary, so the even part V
-    and U/i are real, the numerator V + U is the conjugate of the denominator
-    D = V - U, and exp(A) ≈ D⁻¹·conj(D) = adj(D)·conj(D)/det(D).  Each squaring
-    runs on the whole stack and keeps the product only where s is not used up.
-    Unlike an eigendecomposition it needs no switch near the defective set,
-    where two roots of the characteristic cubic coalesce (κ = Γ at Δ = 0,
-    |Δ| = 2Γ at κ = 0).  A matrix whose 1-norm is not finite, or that needs
-    more than 52 squarings (‖A‖₁ > 2^52·θ₁₃ ≈ 2.4e16) and so keeps no
-    significant digit, comes back NaN; one whose entries overflow float64
-    comes back non-finite.  Neither raises or warns, and callers check.
-    """
-    return _expm(m, t)
 
 
 def split_transfer(
@@ -327,27 +329,9 @@ def propagate_batch(gamma, kappa, delta, length):
     ``ok = False`` and NaN W and occupations; nothing is raised for it.
     :func:`propagate_exact` is one cell of it.
     """
-    return _propagate(gamma, kappa, delta, length)
-
-
-def batch_propagator(cells: int):
-    """:func:`propagate_batch` for a caller that propagates stack after stack.
-
-    The returned function takes and returns what :func:`propagate_batch`
-    does, bitwise, and computes every stack of up to ``cells`` cells in one
-    kernel workspace, so a loop over such stacks (a sweep's chunks) allocates
-    the kernel's planes once instead of once per stack; a larger stack gets
-    planes of its own.  Use one per loop: calls that share it must not run
-    at the same time.
-    """
-    workspace = _workspace(cells)
-    return lambda gamma, kappa, delta, length: _propagate(gamma, kappa, delta, length, workspace)
-
-
-def _propagate(gamma, kappa, delta, length, workspace=None):
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
-    w, n, finite = propagate_step(_expm(_generators(g, k, d), t, workspace), _frame_phases(d, t))
+    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), _frame_phases(d, t))
     ok &= finite
     w[~ok] = n[~ok] = np.nan
     return w, n, ok

@@ -1,22 +1,20 @@
 """Deterministic 2-D parameter sweeps and the anti-Zeno ridge tracker.
 
 A grid is flattened and evaluated in chunks of a fixed number of cells: a
-chunk's numeric cells are one stacked propagation by the sweep's
-:func:`dynamics.batch_propagator`, whose one kernel workspace serves every
-chunk, and, under ``closed_form_when_applicable``, its Δ = 0 / κ = 0 cells
-one :func:`closed_forms.closed_form_batch` call, so memory stays flat in the
-grid size.  Every cell carries its engine
-provenance as a one-byte code into :data:`TAGS`, decoded on request, and a
-stacked cell is bit-identical to its single-cell result, so repeated runs
-produce byte-identical artifacts.  Cell-level numerical failures are recorded
-as NaN with a "failed" tag rather than aborting the sweep.  The
-peak-over-length envelope is one length-grid propagation
-(:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N lengths), and
-the ridge propagates only in stacks: per Δ one 257-point κ scan, then
-4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its bracket 16×
-until its half-width is ≤ 1e-6.  The zoom levels are evaluated in chains, so
-a Δ takes ≈2 stacked calls.  Each one reads n_s from the occupations that
-the propagation returns with W.
+chunk's numeric cells are one :func:`dynamics.propagate_batch` call and,
+under ``closed_form_when_applicable``, its Δ = 0 / κ = 0 cells one
+:func:`closed_forms.closed_form_batch` call, so memory stays flat in the
+grid size.  Every cell carries its engine provenance as a one-byte code into
+:data:`TAGS`, decoded on request, and a stacked cell is bit-identical to its
+single-cell result, so repeated runs produce byte-identical artifacts.
+Cell-level numerical failures are recorded as NaN with a "failed" tag rather
+than aborting the sweep.  The peak-over-length envelope is one length-grid
+propagation (:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N
+lengths), and the ridge propagates only in stacks: per Δ one 257-point κ
+scan, then 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its
+bracket 16× until its half-width is ≤ 1e-6.  The zoom levels are evaluated
+in chains, so a Δ takes ≈2 stacked calls.  Each one reads n_s from the
+occupations that the propagation returns with W.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import batch_propagator, propagate_batch, propagate_lengths
+from .dynamics import STACK_CELLS, propagate_batch, propagate_lengths
 from .params import (
     ENGINE_CLOSED_WHEN_APPLICABLE,
     ENGINE_NUMERIC,
@@ -52,11 +50,9 @@ TAG_FAILED = "failed"
 TAGS = (TAG_NUMERIC, TAG_CLOSED, TAG_FAILED)
 _NUMERIC, _CLOSED, _FAILED = range(len(TAGS))
 
-#: Cells per stacked call of :func:`sweep_2d`: memory stays flat in the grid size, and
-#: with the sweep's one kernel workspace fig3 took 10.9–11.1 ms in chunks of 512,
-#: 13.4–15.1 in chunks of 256 and 9.5–9.7 in chunks of 1024, whose workspace is twice
-#: the size; fig2 took 6.6–6.9, 8.3–9.6 and 6.6–6.9 ms (min of 15, 2-core guest).
-_CHUNK = 512
+#: Cells per stacked call of :func:`sweep_2d`, so memory stays flat in the grid size:
+#: the stack size :mod:`dynamics` is built for.
+_CHUNK = STACK_CELLS
 
 #: κ points of the ridge scan over [0, 2Δ], zoom offsets in units of the
 #: bracket half-width w (spacing w/16), and the w at which the zoom stops.
@@ -170,7 +166,6 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
     fixed = np.array([[getattr(spec.fixed, name)] for name in PARAM_AXES])
     rows = (PARAM_AXES.index(spec.axis1.name), PARAM_AXES.index(spec.axis2.name))
     a1, a2 = spec.axis1.grid(), spec.axis2.grid()
-    propagate = batch_propagator(_CHUNK)  # one kernel workspace for every chunk
 
     def record(where, n_s, ok, code):
         where = where[ok]
@@ -186,7 +181,7 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
             n_s, _, _, _, ok = closed_form_batch(*cells[:, closed])
             record(flat[closed], n_s, ok, _CLOSED)
             flat, cells = flat[~closed], cells[:, ~closed]
-        _, n, ok = propagate(*cells)
+        _, n, ok = propagate_batch(*cells)
         record(flat, n[..., 0], ok, _NUMERIC)
     failures = int(np.count_nonzero(codes == _FAILED))
     return SweepGrid(spec=spec, values=values, codes=codes, failures=failures)

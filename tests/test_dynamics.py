@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -446,10 +447,22 @@ def test_real_plane_products_are_bitwise_multiply_then_sum(n, seed, edge_share, 
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def test_a_reused_workspace_leaves_nothing_for_the_next_stack():
-    # One propagator, as one sweep holds it: stacks with invalid, overflowing and
-    # 3-squaring cells, then stacks that need no squaring, then a shorter stack.
-    # Each is bitwise the stack propagated alone and, cell by cell, propagate_batch of one cell.
+def _first_call_in_a_new_thread(*stack):
+    """``propagate_batch(*stack)`` as the first kernel call of a new thread."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(propagate_batch(*stack)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_a_reused_workspace_leaves_nothing_for_the_next_stack(monkeypatch):
+    # Successive calls in one thread share its kernel workspace: stacks with invalid,
+    # overflowing and 3-squaring cells, then stacks that need no squaring, then a shorter
+    # stack, then 512 and 513 cells of all of those (513 are too many for the workspace
+    # and get planes of their own), then a short stack again.  Each is bitwise the stack
+    # as a new thread's first call and, cell by cell, propagate_batch of one cell.
     stacks = [
         ([-1.0, 200.0, 0.5, 0.5, 1000.0], [0.5, 0.0, 1.0, np.nan, 0.0], [0.0, 0.0, 20.0, 1.0, 0.0],
          [1.0, 2.5, 2.0, 1.0, 2.5]),
@@ -466,18 +479,32 @@ def test_a_reused_workspace_leaves_nothing_for_the_next_stack():
                      for s in stacks]
     assert [np.count_nonzero(s == 3) for s in squarings] == [1, 2, 0, 0, 0]
     assert [int(s.max()) for s in squarings] == [9, 8, 0, 0, 0]
-    propagate = dynamics.batch_propagator(5)
+    wide = np.tile(np.concatenate([np.array(s) for s in stacks], axis=1), 24)
+    assert dynamics.STACK_CELLS == 512
+    stacks += [tuple(wide[:, :512]), tuple(wide[:, :513]), stacks[1]]
+    planes, in_workspace = dynamics._planes, []
+
+    def spy(n):
+        got = planes(n)
+        in_workspace.append(np.shares_memory(got[0], dynamics._THREAD.workspace[0]))
+        return got
+
     oks = []
     for stack in stacks:
-        got = propagate(*stack)
-        for array, want in zip(got, propagate_batch(*stack)):
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_planes", spy)
+            got = propagate_batch(*stack)
+        for array, want in zip(got, _first_call_in_a_new_thread(*stack)):
             assert array.tobytes() == want.tobytes()
         for i, cell in enumerate(zip(*stack)):
             for array, want in zip(got, propagate_batch(*cell)):
                 assert array[i].tobytes() == want.tobytes()
         oks.append(got[2].tolist())
+    assert in_workspace == [True] * 6 + [False, True]
     assert oks[:2] == [[False, False, True, False, False], [True, True, False, True, False]]
-    assert all(all(ok) for ok in oks[2:])
+    assert all(all(ok) for ok in oks[2:5])
+    assert oks[6] == (sum(oks[:5], []) * 24)[:513] and oks[5] == oks[6][:512]
+    assert oks[7] == oks[1]
 
 
 def _columns(cells):

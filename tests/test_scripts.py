@@ -68,7 +68,7 @@ def test_artifact_digests_are_the_same_on_every_run():
     lines = [line.split("  ") for line in first.splitlines()]
     assert [name for _, _, name in lines] == [
         f"{artifact} {fmt}" for artifact in ("sweep fig2", "sweep fig3", "sweep mixed", "ridge 3:10:8")
-        for fmt in ("json", "csv")]
+        for fmt in ("json", "csv")] + ["simulate 0.5 8 6 3 json", "dressed-check 3 json"]
     assert all(len(digest) == 64 for digest, _, _ in lines)
     assert {code for _, code, _ in lines} == {"exit 0", "exit 4"}  # the mixed sweep's cells fail
 

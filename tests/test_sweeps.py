@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from zenopdc import (
     NumericError,
     RidgePoint,
     SweepAxis,
+    SweepGrid,
     SweepSpec,
     find_anti_zeno_ridge,
     max_signal_over_length,
@@ -221,27 +223,36 @@ def _small_specs():
     return [fig2, fig3, replace(fig3, engine=ENGINE_CLOSED_WHEN_APPLICABLE)]
 
 
+def _result_bytes(result):
+    """A sweep's values and codes as bytes; another result as its repr (exact for floats)."""
+    if isinstance(result, SweepGrid):
+        return result.values.tobytes(), result.codes.tobytes()
+    return repr(result)
+
+
 def test_concurrent_sweeps_share_no_buffer(monkeypatch):
-    # Each sweep owns its workspace: sweeps running at once in threads (numpy releases
-    # the GIL in its loops, and a short switch interval interleaves the rest) must each
-    # give bitwise their serial result.
+    # Each thread computes in its own kernel workspace: sweeps, a ridge search and an
+    # envelope running at once in threads (numpy releases the GIL in its loops, and a
+    # short switch interval interleaves the rest) must each give bitwise their serial result.
     monkeypatch.setattr(sweeps, "_CHUNK", 64)  # several chunks per sweep
-    specs = _small_specs()
-    serial = [sweep_2d(spec) for spec in specs]
-    start = threading.Barrier(len(specs))
+    jobs = [partial(sweep_2d, spec) for spec in _small_specs()] + [
+        partial(find_anti_zeno_ridge, 0.5, 1.5, [3.0, 7.0]),
+        partial(max_signal_over_length, 0.5, 2.0, 5.0, 3.0),
+    ]
+    serial = [_result_bytes(job()) for job in jobs]
+    start = threading.Barrier(len(jobs))
     mismatches = []
 
-    def run(spec, want):
+    def run(job, want):
         for _ in range(20):
             start.wait(timeout=60)
-            grid = sweep_2d(spec)
-            if grid.values.tobytes() != want.values.tobytes() or grid.codes.tobytes() != want.codes.tobytes():
-                mismatches.append(spec)
+            if _result_bytes(job()) != want:
+                mismatches.append(job)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=pair) for pair in zip(specs, serial)]
+        threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, serial)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -254,24 +265,35 @@ def test_concurrent_sweeps_share_no_buffer(monkeypatch):
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="page-fault counts are specific to Linux with glibc's allocator")
-def test_repeated_sweeps_fault_in_no_new_memory():
-    # A sweep allocates its kernel workspace once, so a repeated fig2 sweep in a fresh process
-    # takes ≈100 minor page faults.  Freeing and re-allocating the planes in every chunk took
-    # 1150–1400: glibc trims the top of the heap, and each chunk faulted it back in.
-    code = """
+def test_repeated_sweeps_fault_in_no_new_memory(tmp_path):
+    # A thread allocates its kernel workspace once, so a repeated fig2 sweep or CLI fig3 sweep
+    # in a fresh process takes under one minor page fault.  Freeing and re-allocating the
+    # planes in every chunk took 1150–1400 per fig2 sweep: glibc trims the top of the heap,
+    # and each chunk faulted it back in.  A workspace per sweep, freed when the sweep
+    # returned, took ≈100 per fig2 sweep and ≈150 per CLI fig3 sweep.
+    repeat = """
 import resource
+sweep()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    sweep()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+    fig2 = """
 from zenopdc import CouplerParams, SweepAxis, SweepSpec, sweep_2d
 spec = SweepSpec(CouplerParams(0.5, 0.0, 5.0, 0.0), SweepAxis("length", 0.0, 3.0, 61),
                  SweepAxis("kappa", 0.0, 10.0, 101))
-sweep_2d(spec)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(5):
-    sweep_2d(spec)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+sweep = lambda: sweep_2d(spec)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 400
+    fig3 = f"""
+from zenopdc import cli
+sweep = lambda: cli.main(["sweep", "--config", "fig3", "--out", {str(tmp_path / "fig3.json")!r}])
+"""
+    for setup, bound in ((fig2, 400), (fig3, 50)):
+        proc = subprocess.run([sys.executable, "-c", setup + repeat], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < bound
 
 
 def test_provenance_is_one_byte_code_per_cell_decoded_to_the_tags():
