@@ -25,7 +25,10 @@ writing into planes: a real product is one ``np.einsum``, a complex one its
 terms multiplied and summed.  Each thread computes every stack of up to
 :data:`STACK_CELLS` cells in one workspace of planes, allocated on its
 first kernel call and kept while the thread lives, so no caller allocates
-kernel memory and a loop of stacks (a sweep's chunks) faults in none.
+kernel memory and a loop of stacks (a sweep's chunks) faults in none.  The
+plane views for a stack size are made on the thread's first call of that
+size and kept beside the workspace, so a call of a size seen before builds
+no view; no output of the kernel or of a step is such a view.
 :func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
 write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
@@ -100,15 +103,17 @@ _PADE_13 = (
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
-#: The pairs (b_{2k+1}, b_{2k}) for k = 0 … 6, shaped to broadcast over the stacked
-#: pair (W, V) of Padé polynomials in A² on planes, so one expression evaluates both.
-_PADE_PAIRS = np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1)
-#: The 3×3 identity as planes, shape (3, 3, 1), broadcasting over the cells.
-_IDENTITY = np.eye(3)[..., None]
+#: The pairs (b_{2k+1}, b_{2k}) for k = 0 … 6, each shaped (2, 1, 1, 1) to broadcast over
+#: the stacked pair (W, V) of Padé polynomials in A² on planes, so one expression evaluates both.
+_PADE_PAIRS = tuple(np.array(_PADE_13).reshape(7, 2)[:, ::-1].reshape(7, 2, 1, 1, 1))
+#: The pair's constant term (b_1·I, b_0·I) as planes, shape (2, 3, 3, 1), formed once.
+_PADE_IDENTITY = _PADE_PAIRS[0] * np.eye(3)[..., None]
 #: The adjugate's four factors as indices into the nine planes of D, indices mod 3:
 #: adj(D)[i, j] = D[j+1, i+1]·D[j+2, i+2] - D[j+1, i+2]·D[j+2, i+1].
 _I, _J = np.indices((3, 3))
 _ADJ = tuple(3 * ((_J + r) % 3) + (_I + c) % 3 for r, c in ((1, 1), (2, 2), (1, 2), (2, 1)))
+#: Rows and columns of W01, W10 and W20 in W, the first terms of (n_s, n_i, n_b).
+_V_ROWS, _V_COLS = np.array([0, 1, 2]), np.array([1, 0, 0])
 #: Dtype and leading shape of each plane stack the kernel computes in, in the order
 #: :func:`expm_i` unpacks them: six real ones, then six complex ones.
 _PLANES = ([(np.float64, lead) for lead in [(3, 3)] * 4 + [(2, 3, 3)] * 2]
@@ -119,11 +124,14 @@ _THETA_13 = 5.371920351148152
 #: and 2^s·u >= 1 for the unit roundoff u = 2^-53 once s exceeds the mantissa bits.
 _MAX_SQUARINGS = np.finfo(np.float64).nmant
 #: Cells of the largest stack the kernel computes in its thread's workspace, 1728 B per
-#: cell (0.84 MiB); a larger stack gets planes of its own.  ``sweeps`` chunks by it.  Sweeps in chunks of
-#: 512 took fig3 10.9–11.1 ms, of 256 13.4–15.1 and of 1024, in twice the memory,
-#: 9.5–9.7; fig2 took 6.6–6.9, 8.3–9.6 and 6.6–6.9 ms (min of 15, 2-core guest).
+#: cell (0.84 MiB), and the most sizes whose views it keeps (one list per size
+#: 0 … STACK_CELLS); a larger stack gets planes of its own.  ``sweeps`` chunks by it.
+#: Sweeps in chunks of 512 took fig3 10.9–11.1 ms, of 256 13.4–15.1 and of 1024, in
+#: twice the memory, 9.5–9.7; fig2 took 6.6–6.9, 8.3–9.6 and 6.6–6.9 ms (min of 15,
+#: 2-core guest).
 STACK_CELLS = 512
-#: Each thread's workspace, one flat buffer per plane stack, made on its first kernel call.
+#: Each thread's workspace, one flat buffer per plane stack, made on its first kernel call,
+#: and the plane views into it for each stack size it has computed (:func:`_planes`).
 _THREAD = threading.local()
 
 
@@ -182,16 +190,22 @@ def _planes(n: int) -> list[NDArray]:
     """The kernel's plane stacks for ``n`` cells, each of shape ``lead + (n,)`` and contiguous.
 
     Up to :data:`STACK_CELLS` cells they are views of this thread's workspace,
-    else new arrays, one per stack.  A view is laid out as a new array is, so the
+    made on the first call for each ``n`` and kept with the workspace, so the
+    cache holds at most one list per size 0 … STACK_CELLS; a larger stack gets
+    new arrays, one per stack.  A view is laid out as a new array is, so the
     kernel computes bitwise the same in it.
     """
     if n > STACK_CELLS:
         return [np.empty((*lead, n), dtype) for dtype, lead in _PLANES]
-    if not hasattr(_THREAD, "workspace"):
+    views = getattr(_THREAD, "views", None)
+    if views is None:
         _THREAD.workspace = [np.empty(math.prod(lead) * STACK_CELLS, dtype)
                              for dtype, lead in _PLANES]
-    return [buffer[: math.prod(lead) * n].reshape(*lead, n)
-            for buffer, (_, lead) in zip(_THREAD.workspace, _PLANES)]
+        views = _THREAD.views = {}
+    if n not in views:
+        views[n] = [buffer[: math.prod(lead) * n].reshape(*lead, n)
+                    for buffer, (_, lead) in zip(_THREAD.workspace, _PLANES)]
+    return views[n]
 
 
 def _mul(x, y, out, terms):
@@ -232,14 +246,16 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     comes back non-finite.  Neither raises or warns, and callers check.
     """
     m, t = np.asarray(m), np.asarray(t)
-    stack = np.broadcast_shapes(t.shape, m.shape[:-2])
+    stack = np.broadcast(t, m[..., 0, 0]).shape
     n = math.prod(stack)
     b, a2, a4, a6, inner, wv, d, adj, r, x, y, terms = _planes(n)
     # m as planes: its 3×3 axes first, its stack axes after as many new axes as t has more
     m = m.reshape((1,) * (len(stack) + 2 - m.ndim) + m.shape).transpose(-2, -1, *range(len(stack)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         np.multiply(t, m, out=b.reshape(3, 3, *stack))  # A = i b with b real
-        s = np.ceil(np.log2(np.abs(b, out=a2).sum(axis=0).max(axis=0) / _THETA_13)).clip(0)
+        s = np.abs(b, out=a2).sum(axis=0).max(axis=0)
+        s /= _THETA_13
+        np.maximum(np.ceil(np.log2(s, out=s), out=s), 0.0, out=s)
         fit = s <= _MAX_SQUARINGS  # False also for a norm that is inf or NaN
         s = np.where(fit, s, 0.0).astype(np.intp)
         # A NaN scale makes every entry of a rejected cell NaN, and only of that cell.
@@ -260,12 +276,13 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
         wv += np.multiply(c[3], a6, out=inner)
         wv += np.multiply(c[2], a4, out=inner)
         wv += np.multiply(c[1], a2, out=inner)
-        wv += c[0] * _IDENTITY
-        w, v = wv
+        wv += _PADE_IDENTITY
+        w, v = wv[0], wv[1]
         np.subtract(v, np.multiply(1j, _mul_real(b, w, a2), out=x), out=d)  # D = V - i b W
         # adj(D) = x·y - adj·t from the four gathered factors x, y, adj and t
+        planes = d.reshape(9, n)
         for i, factor in zip(_ADJ, (x, y, adj, terms[0])):
-            d.reshape(9, n).take(i, axis=0, out=factor, mode="clip")
+            planes.take(i, axis=0, out=factor, mode="clip")
         adj *= terms[0]
         np.subtract(np.multiply(x, y, out=x), adj, out=adj)
         det = np.multiply(d[0], adj[:, 0], out=x[0]).sum(axis=0)  # expanded along row 0
@@ -306,7 +323,7 @@ def propagate_step(e: NDArray[np.complex128], phases):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.asarray(phases)[..., :, None] * e
-        n = np.abs(w[..., (0, 1, 2), (1, 0, 0)]) ** 2  # |W01|², |W10|², |W20|²
+        n = np.abs(w[..., _V_ROWS, _V_COLS]) ** 2  # |W01|², |W10|², |W20|²
         n[..., 0] += np.abs(w[..., 0, 2]) ** 2  # n_s = |W01|² + |W02|²
     ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
     return w, n, ok
@@ -315,8 +332,11 @@ def propagate_step(e: NDArray[np.complex128], phases):
 def _frame_phases(delta, length):
     """(e^{-ih}, e^{ih}, e^{ih}) per cell with h = ΔL/2, from one exponential; never warns."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.exp(1j * (0.5 * delta * length))[..., None]
-    return np.concatenate((p.conj(), p, p), axis=-1)
+        p = np.exp(1j * (0.5 * delta * length))
+    phases = np.empty((*p.shape, 3), np.complex128)
+    np.conjugate(p, out=phases[..., 0])
+    phases[..., 1:] = p[..., None]
+    return phases
 
 
 def propagate_batch(gamma, kappa, delta, length):
@@ -333,7 +353,8 @@ def propagate_batch(gamma, kappa, delta, length):
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
     w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), _frame_phases(d, t))
     ok &= finite
-    w[~ok] = n[~ok] = np.nan
+    if not ok.all():
+        w[~ok] = n[~ok] = np.nan
     return w, n, ok
 
 

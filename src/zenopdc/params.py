@@ -68,7 +68,7 @@ def _real(name: str, values, nonnegative: bool):
     if array.dtype.kind not in "iuf":
         got = repr(values) if array.ndim == 0 else f"dtype {array.dtype}"
         raise InvalidParameterError(f"{name} takes only real numbers, got {got}")
-    x = array.astype(np.float64)
+    x = array.astype(np.float64, copy=False)
     ok = np.isfinite(x)
     if nonnegative:
         ok &= x >= 0.0
@@ -93,7 +93,7 @@ def require_count(name: str, value, minimum: int) -> int:
 
 def require_ok(ok, what: str) -> None:
     """Raise NumericError naming ``what`` unless every entry of the ``ok`` mask is set."""
-    if not np.all(ok):
+    if not np.asarray(ok).all():
         raise NumericError(
             f"{what}: {np.count_nonzero(~np.asarray(ok))} of {np.size(ok)} values are not "
             "finite; the rates or rate*length are beyond the representable range"
@@ -120,7 +120,7 @@ def valid_cells(gamma, kappa, delta, length):
         _real(name, values, name in _NONNEGATIVE)
         for name, values in zip(PARAM_AXES, (gamma, kappa, delta, length))
     ]
-    ok = np.ones(np.broadcast_shapes(*(x.shape for x, _ in fields)), dtype=bool)
+    ok = np.ones(np.broadcast(*(x for x, _ in fields)).shape, dtype=bool)
     for _, valid in fields:
         ok &= valid
     g, k, d, t = (np.where(ok, x, 0.0) for x, _ in fields)

@@ -59,6 +59,7 @@ _CHUNK = STACK_CELLS
 #: A 33-cell batch costs what a 9-cell one does, so wide levels save levels.
 _SCAN_POINTS = 257
 _ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 33)
+_OFFSETS, _MIDDLE = _ZOOM_OFFSETS.tolist(), _ZOOM_OFFSETS.size // 2  # as floats; index of 0
 _TOL = 1e-6
 
 
@@ -219,28 +220,29 @@ def find_anti_zeno_ridge(gamma: float, length: float, deltas) -> list[RidgePoint
         if n_s.max() <= n_s.min() * (1.0 + 1e-6):
             warnings.warn(f"flat signal landscape at delta={delta}; refinement is meaningless",
                           FlatLandscapeWarning, stacklevel=2)
-        best, w = int(np.argmax(n_s)), float(kappas[1])  # w starts at the scan spacing
+        best, w = int(n_s.argmax()), float(kappas[1])  # w starts at the scan spacing
         while w > _TOL:
             centers, grids = _zoom_chain(kappas, n_s, best, w)
-            n_all, ok_all = _signal(gamma, np.concatenate(grids), delta, length)
-            levels = zip(centers, grids, np.split(n_all, len(grids)), np.split(ok_all, len(grids)))
+            n_all, ok_all = _signal(gamma, grids.ravel(), delta, length)
+            levels = zip(centers, grids, n_all.reshape(grids.shape), ok_all.reshape(grids.shape))
             for center, grid, n, ok in levels:
                 if center != kappas[best]:  # a missed prediction: chain again from here
                     break
                 require_ok(ok, f"ridge zoom at delta={delta}")
-                kappas, n_s, best, w = grid, n, int(np.argmax(n)), w / 16.0
+                kappas, n_s, best, w = grid, n, int(n.argmax()), w / 16.0
         points.append(RidgePoint(delta, float(kappas[best]), float(n_s[best])))
     return points
 
 
-def _zoom_chain(kappas, n_s, best, w) -> tuple[list[float], list[NDArray[np.float64]]]:
-    """Centres and grids of the zoom levels after a known one, down to w <= 1e-6.
+def _zoom_chain(kappas, n_s, best, w) -> tuple[list[float], NDArray[np.float64]]:
+    """Centres and grids, one row each, of the zoom levels after a known one, down to w <= 1e-6.
 
     The first is built around the known argmax, so it is exact; each later one
     around a predicted argmax of the grid before it: its point nearest the vertex
     of the parabola through the known argmax and its neighbours (the argmax itself
-    at an edge or without negative curvature).  The prediction only chooses which
-    exact levels are evaluated early; it never moves a grid.
+    at an edge or without negative curvature), found by rounding, not by a search.
+    The prediction only chooses which exact levels are evaluated early; it never
+    moves a grid.
     """
     vertex = center = float(kappas[best])
     if 0 < best < kappas.size - 1:
@@ -248,14 +250,17 @@ def _zoom_chain(kappas, n_s, best, w) -> tuple[list[float], list[NDArray[np.floa
         curvature = (y_a - y_b) + (y_c - y_b)
         if curvature < 0.0:
             vertex += 0.25 * (y_a - y_c) / curvature * float(kappas[best + 1] - kappas[best - 1])
-    centers, grids = [], []
+    centers, widths = [], []
     while w > _TOL:
-        # The middle offset is exactly 0, so the centre itself is re-evaluated.
-        grid = np.maximum(center + w * _ZOOM_OFFSETS, 0.0)
         centers.append(center)
-        grids.append(grid)
-        center, w = float(grid[np.argmin(np.abs(grid - vertex))]), w / 16.0
-    return centers, grids
+        widths.append(w)
+        # The grid point nearest the vertex (offsets are spaced 1/_MIDDLE), in Python
+        # floats, computed as the grid computes its points below.
+        i = min(max(round(_MIDDLE * (vertex - center) / w) + _MIDDLE, 0), 2 * _MIDDLE)
+        center, w = max(center + w * _OFFSETS[i], 0.0), w / 16.0
+    # The middle offset is exactly 0, so each centre itself is re-evaluated.
+    grids = np.multiply.outer(widths, _ZOOM_OFFSETS) + np.array(centers)[:, None]
+    return centers, np.maximum(grids, 0.0, out=grids)
 
 
 def ridge_linearity(points: list[RidgePoint]) -> tuple[float, float, float]:

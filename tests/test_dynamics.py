@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from zenopdc import (
     dressed_bogoliubov_map,
     n_s_mismatched_uncoupled,
     propagate_batch,
+    propagate_dressed,
     propagate_exact,
     propagate_lengths,
     propagate_ode,
@@ -505,6 +507,61 @@ def test_a_reused_workspace_leaves_nothing_for_the_next_stack(monkeypatch):
     assert all(all(ok) for ok in oks[2:5])
     assert oks[6] == (sum(oks[:5], []) * 24)[:513] and oks[5] == oks[6][:512]
     assert oks[7] == oks[1]
+
+
+def _in_a_new_thread(job):
+    """``job()`` run in a new thread, whose kernel workspace and plane views start empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(job).result(timeout=60)
+
+
+def test_no_output_is_a_view_of_the_cached_workspace():
+    # A thread's plane views are kept per stack size and reused by its next kernel call of
+    # that size, so an output that viewed the workspace would be overwritten by that call.
+    # Every output of the kernel and of the routes through it must be memory of its own
+    # that a second round of calls of the same sizes, with other inputs, leaves as it was.
+    def outputs(gamma, kappa, delta, length):
+        p = CouplerParams(gamma, kappa, delta, length)
+        kappas = np.linspace(0.0, 2.0 * kappa, 33)
+        bmap = dressed_bogoliubov_map(p)
+        return [
+            expm_i(build_generator(p), length),
+            expm_i(dynamics._generators(*np.broadcast_arrays(gamma, kappas, delta)), length),
+            *propagate_batch(gamma, kappas, delta, length),
+            *propagate_batch(gamma, kappa, delta, length),
+            *propagate_lengths(gamma, kappa, delta, length, 601),
+            bmap.u_block, bmap.v_block, *vars(propagate_dressed(p)).values(),
+        ]
+
+    def job():
+        first = outputs(0.5, 8.0, 6.0, 3.0)  # 3 squarings
+        held = [np.array(a, copy=True) for a in first]
+        second = outputs(0.3, 1.0, -2.0, 1.0)
+        shared = [np.shares_memory(a, buffer) for a in first + second
+                  for buffer in dynamics._THREAD.workspace]
+        return first, held, shared, len(dynamics._THREAD.workspace)
+
+    first, held, shared, buffers = _in_a_new_thread(job)
+    assert buffers == 12 and len(shared) == 2 * len(first) * buffers and not any(shared)
+    for array, want in zip(first, held):
+        assert np.asarray(array).tobytes() == want.tobytes()
+
+
+def test_plane_views_are_built_once_per_size_and_bounded():
+    def job():
+        first = {n: dynamics._planes(n) for n in (1, 33, 512)}
+        same = all(dynamics._planes(n) is views for n, views in first.items())
+        for n in range(dynamics.STACK_CELLS + 200):
+            dynamics._planes(n)
+        wide = [dynamics._planes(dynamics.STACK_CELLS + 1)[0] for _ in range(2)]
+        in_workspace = [np.shares_memory(views[0], dynamics._THREAD.workspace[0])
+                        for views in first.values()]
+        return same, sorted(dynamics._THREAD.views), in_workspace, wide
+
+    same, sizes, in_workspace, wide = _in_a_new_thread(job)
+    assert same and all(in_workspace)
+    assert sizes == list(range(dynamics.STACK_CELLS + 1))  # a larger stack is never kept
+    assert not np.shares_memory(*wide)
 
 
 def _columns(cells):

@@ -73,6 +73,16 @@ def test_artifact_digests_are_the_same_on_every_run():
     assert {code for _, code, _ in lines} == {"exit 0", "exit 4"}  # the mixed sweep's cells fail
 
 
+def test_call_costs_prints_one_line_per_call():
+    lines = [line.rsplit("  ", 1) for line in
+             _run("call_costs.py", "--repeats", "1", "--number", "1").splitlines()]
+    assert [name for name, _ in lines] == [
+        f"{call} {n} cells" for n in (1, 33, 132, 257, 512) for call in ("propagate_batch", "expm_i")
+    ] + ["propagate_lengths 0.5 5 0 3 601", "vacuum_occupations(propagate_exact) 1 cell",
+         "ridge point bookkeeping"]
+    [float(us) for _, us in lines]  # each figure is a number; its size is not checked
+
+
 def test_bench_pairs_smoke_run_summarizes_one_pair(tmp_path):
     head = shutil.which("git") and subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS,
                                                   capture_output=True).returncode == 0
