@@ -20,14 +20,14 @@ one-shot ``python -m zenopdc`` run loads only those (``classify`` loads
 ``regimes`` and no propagator).  :func:`main` builds the parser once per
 process and looks the ``cmd_*`` function up by the command's name on each call.
 
-Exit codes: 0 success; 2 invalid parameters/config/range (including an
-unreadable config file, a JSON boolean, a JSON string or an integer beyond
-float64 where a number belongs, and a grid or range too large to allocate) or
-an unwritable ``--out`` (a missing directory is caught before any work, a
-failed write only after the work);
-3 engine-parameter mismatch (closed-form engine off its domain,
-classification at kappa = 0); 4 sweep finished but some cells failed;
-5 dressed-frame cross-check exceeded its tolerance.
+Exit codes: 0 success; 2 a malformed command line (an unknown command or flag,
+a missing or unconvertible value, an unknown engine or format), invalid
+parameters/config/range (an unreadable config file, a JSON boolean, a JSON
+string or an integer beyond float64 where a number belongs, a grid or range
+too large to allocate) or an unwritable ``--out`` (a missing directory is
+caught before any work, a failed write after it); 3 engine-parameter mismatch
+(closed-form engine off its domain, classification at kappa = 0); 4 sweep
+finished but some cells failed; 5 dressed-frame cross-check beyond tolerance.
 """
 
 from __future__ import annotations
@@ -126,11 +126,9 @@ def _resolve(args, config: dict, key: str, default):
 
 
 def _plain(obj):
-    """``json.dumps`` default hook: complex as [re, im], numpy values as Python values."""
+    """``json.dumps`` default hook: complex as [re, im]."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -425,13 +423,18 @@ def _add_command(sub, name: str, summary: str, keys, formats=("json",), flags=PA
         p.add_argument(f"--{flag}", type=float, help=_PARAM_HELP[flag])
     p.add_argument("--config", help="JSON config file (or bundled: fig2, fig3)")
     p.add_argument("--out", help="write the report/artifact to this path")
-    p.add_argument("--format", choices=("json", "csv"), help="artifact format")
+    p.add_argument("--format", help=f"artifact format: {' or '.join(formats)} (default json)")
     p.set_defaults(config_keys={*keys, "out", "format"}, formats=formats)
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line exits 2 through main, as bad values do
+        raise InvalidParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zenopdc",
         description="Photon-pair generation in a probed nonlinear coupler",
     )
@@ -439,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "simulate", "occupations for one parameter point",
                      keys={*PARAM_AXES, "engine"})
-    p.add_argument("--engine", choices=_SIMULATE_ENGINES, help="propagation engine (default exact)")
+    p.add_argument("--engine", help=f"engine: {', '.join(_SIMULATE_ENGINES)} (default exact)")
 
     _add_command(sub, "classify", "dynamical regime from the frequency cubic",
                  keys=PARAM_AXES)
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "sweep", "2-D grid of signal occupations",
                      keys={"fixed", "axis1", "axis2", "engine", "threads", *_SWEEP_RESULT_KEYS},
                      formats=("json", "csv"))
-    p.add_argument("--engine", choices=ENGINES, help="per-cell engine policy")
+    p.add_argument("--engine", help=f"per-cell engine policy: {', '.join(ENGINES)}")
     p.add_argument("--threads", type=int,
                    help="deprecated: accepted for compatibility; sweeps run serially, "
                         "output is identical")
@@ -468,8 +471,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = _read_config(args.config) if args.config else {}
         _check_keys(config, args.config_keys, "config")
         out = _out_path(args, config)

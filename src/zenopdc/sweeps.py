@@ -240,16 +240,15 @@ def _zoom_chain(kappas, n_s, best, w) -> tuple[list[float], NDArray[np.float64]]
     The first is built around the known argmax, so it is exact; each later one
     around a predicted argmax of the grid before it: its point nearest the vertex
     of the parabola through the known argmax and its neighbours (the argmax itself
-    at an edge or without negative curvature), found by rounding, not by a search.
-    The prediction only chooses which exact levels are evaluated early; it never
-    moves a grid.
+    at an edge), found by rounding, not by a search.  The first argmax has
+    y_a < y_b >= y_c, so the curvature is negative.  The prediction only chooses
+    which exact levels are evaluated early; it never moves a grid.
     """
     vertex = center = float(kappas[best])
     if 0 < best < kappas.size - 1:
         y_a, y_b, y_c = n_s[best - 1 : best + 2].tolist()
         curvature = (y_a - y_b) + (y_c - y_b)
-        if curvature < 0.0:
-            vertex += 0.25 * (y_a - y_c) / curvature * float(kappas[best + 1] - kappas[best - 1])
+        vertex += 0.25 * (y_a - y_c) / curvature * float(kappas[best + 1] - kappas[best - 1])
     centers, widths = [], []
     while w > _TOL:
         centers.append(center)

@@ -133,6 +133,55 @@ def test_simulate_rejects_csv():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["simulate", "--bogus", "1"],
+    ["simulate", "--gamma", "abc"],
+    ["simulate", "--gamma"],
+    ["simulate", "--engine", "foo"],
+    ["simulate", "--format", "xml"],
+    ["sweep", "--config", "fig2", "--engine", "foo"],
+    ["sweep", "--config", "fig2", "--threads", "2.5"],
+    ["dressed-check", "--seed", "x"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_a_malformed_command_line_exits_2_with_one_error_line(capsys, argv):
+    from zenopdc import cli
+
+    proc = run(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert cli.main(argv) == 2  # in process too: a return value, not SystemExit
+    assert capsys.readouterr().err == proc.stderr
+
+
+@pytest.mark.parametrize("command, base, key, value", [
+    ("simulate", {}, "engine", "foo"),
+    ("sweep", "fig2", "engine", "foo"),
+    ("simulate", {}, "format", "csv"),
+    ("simulate", {}, "format", "xml"),
+], ids=["simulate-engine", "sweep-engine", "simulate-format-csv", "simulate-format-xml"])
+def test_a_flag_and_its_config_key_fail_with_the_same_error(tmp_path, command, base, key, value):
+    from importlib import resources
+
+    if isinstance(base, str):
+        base = json.loads(resources.files("zenopdc").joinpath("configs", f"{base}.json").read_text())
+    flag_cfg, key_cfg = tmp_path / "flag.json", tmp_path / "key.json"
+    flag_cfg.write_text(json.dumps(base))
+    key_cfg.write_text(json.dumps({**base, key: value}))
+    by_flag = run(command, "--config", str(flag_cfg), f"--{key}", value)
+    by_key = run(command, "--config", str(key_cfg))
+    assert by_flag.returncode == by_key.returncode == 2
+    assert by_flag.stderr.startswith("error: ") and len(by_flag.stderr.splitlines()) == 1
+    assert by_flag.stderr == by_key.stderr
+
+
+def test_simulate_help_exits_0_and_names_the_engines():
+    proc = run("simulate", "--help")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "exact, ode, closed-form" in proc.stdout
+
+
 def test_classify_report_and_hint():
     proc = run("classify", "--gamma", "0.5", "--kappa", "4", "--delta", "5")
     assert proc.returncode == 0

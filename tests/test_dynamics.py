@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -449,16 +448,6 @@ def test_real_plane_products_are_bitwise_multiply_then_sum(n, seed, edge_share, 
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
-def _first_call_in_a_new_thread(*stack):
-    """``propagate_batch(*stack)`` as the first kernel call of a new thread."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(propagate_batch(*stack)))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    return out[0]
-
-
 def test_a_reused_workspace_leaves_nothing_for_the_next_stack(monkeypatch):
     # Successive calls in one thread share its kernel workspace: stacks with invalid,
     # overflowing and 3-squaring cells, then stacks that need no squaring, then a shorter
@@ -496,7 +485,7 @@ def test_a_reused_workspace_leaves_nothing_for_the_next_stack(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_planes", spy)
             got = propagate_batch(*stack)
-        for array, want in zip(got, _first_call_in_a_new_thread(*stack)):
+        for array, want in zip(got, _in_a_new_thread(lambda: propagate_batch(*stack))):
             assert array.tobytes() == want.tobytes()
         for i, cell in enumerate(zip(*stack)):
             for array, want in zip(got, propagate_batch(*cell)):
