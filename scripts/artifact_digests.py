@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print the sha256 of a fixed set of CLI artifacts made by this tree's package.
+"""Print the sha256 of fixed CLI artifacts and library results made by this tree's package.
 
-Each line is ``<sha256>  exit <code>  <artifact>``.  The set:
+Each line is ``<sha256>  exit <code>  <artifact>`` for a CLI artifact and
+``<sha256>  library  <call>`` for the bytes of a library call's arrays.  The set:
 
   sweep --config fig2 | fig3                   JSON and CSV
   a closed_form_when_applicable sweep          JSON and CSV; its grid holds
@@ -10,10 +11,18 @@ Each line is ``<sha256>  exit <code>  <artifact>``.  The set:
   simulate --gamma 0.5 --kappa 8 --delta 6     JSON; a one-cell exponential
     --length 3                                 that takes 3 squarings
   dressed-check --seed 3                       JSON
+  propagate_lengths(0.5, 5, 0, 3, 601)         w, n and ok
+  max_signal_over_length(0.5, κ, 0, 3, 601)    the 40 envelope peaks, κ in
+                                               linspace(0.5, 20, 40)
+  resonant_vs_qpm(0.5, 5, linspace(0, 3, 61))  its four columns
+  propagate_batch of a seeded 16 × 32 stack    w, n and ok; the stack holds
+                                               invalid, overflowing and
+                                               NaN-rate cells
 
-The package is imported from the ``src/`` next to this script, so running
-the script of each of two checkouts and diffing the outputs tells whether
-a change keeps every artifact's bytes:
+No CLI artifact covers these library paths.  The package is imported from
+the ``src/`` next to this script, so running the script of each of two
+checkouts and diffing the outputs tells whether a change keeps every
+artifact's bytes:
 
     python3 scripts/artifact_digests.py > digests.txt
 """
@@ -24,9 +33,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zenopdc import cli  # noqa: E402
+from zenopdc import cli, dressed, dynamics, sweeps  # noqa: E402
 
 #: Closed form in the kappa = 0 row, numeric elsewhere, and cells whose gain*length overflows.
 MIXED_SWEEP = {
@@ -35,6 +46,32 @@ MIXED_SWEEP = {
     "axis1": {"name": "kappa", "start": 0.0, "stop": 3.0, "count": 4},
     "axis2": {"name": "gamma", "start": 0.0, "stop": 600.0, "count": 3},
 }
+
+
+def seeded_stack(seed: int = 32, shape=(16, 32)):
+    """(Γ, κ, Δ, L) over ``shape``: supported cells, with every 7th Γ negative, every 11th κ
+    NaN, every 13th cell at Γ·L = 500 (its occupations overflow) and every 17th at
+    Γ·L = 2500 (its W overflows)."""
+    rng = np.random.default_rng(seed)
+    g, k, d, t = (rng.uniform(lo, hi, shape).ravel() for lo, hi in
+                  ((0.0, 2.0), (0.0, 10.0), (-10.0, 10.0), (0.0, 3.0)))
+    g[::7], k[::11] = -1.0, np.nan
+    g[::13], t[::13] = 200.0, 2.5
+    g[::17], t[::17] = 1000.0, 2.5
+    return tuple(a.reshape(shape) for a in (g, k, d, t))
+
+
+def library_results():
+    """The arrays of each library call of the docstring's list, by the name it prints."""
+    peaks = [sweeps.max_signal_over_length(0.5, kappa, 0.0, 3.0, 601)
+             for kappa in np.linspace(0.5, 20.0, 40)]
+    table = dressed.resonant_vs_qpm(0.5, 5.0, np.linspace(0.0, 3.0, 61))
+    return {
+        "propagate_lengths 0.5 5 0 3 601": dynamics.propagate_lengths(0.5, 5.0, 0.0, 3.0, 601),
+        "max_signal_over_length 40 peaks": (np.array(peaks),),
+        "resonant_vs_qpm 0.5 5 61": tuple(table.values()),
+        "propagate_batch seeded 16x32": dynamics.propagate_batch(*seeded_stack()),
+    }
 
 
 def main() -> int:
@@ -57,6 +94,9 @@ def main() -> int:
                 code = cli.main([*argv, "--format", fmt, "--out", str(out)])
                 digest = hashlib.sha256(out.read_bytes()).hexdigest()
                 print(f"{digest}  exit {code}  {name} {fmt}")
+    for name, arrays in library_results().items():
+        digest = hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+        print(f"{digest}  library  {name}")
     return 0
 
 

@@ -7,6 +7,8 @@ time of ``--number`` calls.  The lines:
   propagate_batch N cells        one stacked propagation, N in 1 33 132 257 512
   expm_i N cells                 the kernel alone on the same N generators
   propagate_lengths 0.5 5 0 3 601
+  max_signal_over_length 601     one envelope peak, (Γ, κ, Δ) = (0.5, 5, 0), L <= 3
+  resonant_vs_qpm 61             the dressed route on linspace(0, 3, 61) at Γ = 0.5, Δ = 5
   vacuum_occupations(propagate_exact) 1 cell
   ridge point bookkeeping        find_anti_zeno_ridge(0.5, 1.5, [5.0]) with its
                                  stacked propagations replayed from a recording,
@@ -25,9 +27,11 @@ import time
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zenopdc import dynamics, sweeps  # noqa: E402
+from zenopdc import dressed, dynamics, sweeps  # noqa: E402
 from zenopdc.params import CouplerParams, valid_cells  # noqa: E402
 
 STACKS = (1, 33, 132, 257, 512)
@@ -84,6 +88,10 @@ def main() -> int:
         timed[f"expm_i {n} cells"] = partial(dynamics.expm_i, m, t)
     timed["propagate_lengths 0.5 5 0 3 601"] = partial(dynamics.propagate_lengths,
                                                        0.5, 5.0, 0.0, 3.0, 601)
+    timed["max_signal_over_length 601"] = partial(sweeps.max_signal_over_length,
+                                                  GAMMA, 5.0, 0.0, 3.0, 601)
+    timed["resonant_vs_qpm 61"] = partial(dressed.resonant_vs_qpm, GAMMA, DELTA,
+                                          np.linspace(0.0, 3.0, 61))
     p = CouplerParams(GAMMA, 5.0, DELTA, LENGTH)
     timed["vacuum_occupations(propagate_exact) 1 cell"] = lambda: dynamics.vacuum_occupations(
         dynamics.propagate_exact(p))

@@ -75,11 +75,11 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
     signal row needs the factor e^{-iΔL}.  A cell that is not finite raises
     NumericError.
     """
-    phases = np.ones(np.shape(length) + (3,), dtype=np.complex128)
+    phases = np.ones((3, *np.shape(length)), dtype=np.complex128)  # rows, one per mode
     with np.errstate(over="ignore", invalid="ignore"):
-        phases[..., 0] = np.exp(1j * (-delta * np.asarray(length)))
+        phases[0] = np.exp(1j * (-delta * np.asarray(length)))
     m = build_dressed_generator(gamma, kappa, delta)
-    w, n, ok = propagate_step(expm_i(m, length), phases)
+    w, n, ok = propagate_step(expm_i(m, length), phases.transpose(*range(1, phases.ndim), 0))
     require_ok(ok, "dressed propagation")
     return w, n
 

@@ -28,7 +28,14 @@ first kernel call and kept while the thread lives, so no caller allocates
 kernel memory and a loop of stacks (a sweep's chunks) faults in none.  The
 plane views for a stack size are made on the thread's first call of that
 size and kept beside the workspace, so a call of a size seen before builds
-no view; no output of the kernel or of a step is such a view.
+no view; no output of the kernel or of a step is such a view.  Every array
+of a stacked call stays cell-fastest: the kernel returns a copy of its
+result planes seen as a (..., 3, 3) view, the frame phases are rows (3, ...)
+seen as (..., 3), and the step computes on planes and rows and writes W and
+``n`` into cell-fastest memory of its own, handed out as (..., 3, 3) and
+(..., 3) views.  So a caller that reads only ``n`` and ``ok`` pays no
+transpose, and the finiteness rule reduces over the leading axes of
+contiguous rows.
 :func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
 write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
@@ -244,6 +251,9 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
     more than 52 squarings (‖A‖₁ > 2^52·θ₁₃ ≈ 2.4e16) and so keeps no
     significant digit, comes back NaN; one whose entries overflow float64
     comes back non-finite.  Neither raises or warns, and callers check.
+    The result is a copy of the result planes, memory of its own and never
+    the workspace, seen as a ``stack + (3, 3)`` view: its values are those of
+    a C-order stack, its memory is cell-fastest.
     """
     m, t = np.asarray(m), np.asarray(t)
     stack = np.broadcast(t, m[..., 0, 0]).shape
@@ -290,7 +300,7 @@ def expm_i(m: NDArray[np.float64], t) -> NDArray[np.complex128]:
         np.divide(_mul(adj, np.conjugate(d, out=y), r, terms), det, out=r)
         for j in range(s.max(initial=0)):
             np.copyto(r, _mul(r, r, y, terms), where=s > j)
-    return r.reshape(9, n).T.copy().reshape(*stack, 3, 3)
+    return r.copy().reshape(3, 3, *stack).transpose(*range(2, len(stack) + 2), 0, 1)
 
 
 def split_transfer(
@@ -319,24 +329,31 @@ def propagate_step(e: NDArray[np.complex128], phases):
     ``phases`` the frame phase factors e^{iθ} per row, shape ``stack + (3,)``.  Returns
     stacked ``(w, n, ok)``: ``n`` holds the occupations, read from the four
     V entries of W, and ``ok`` marks the cells whose W and ``n`` are finite.
-    Nothing raises or warns for the others.
+    Nothing raises or warns for the others.  The step computes on ``e`` as
+    planes (3, 3, ...) and on ``phases`` as rows (3, ...), contiguous when
+    they come from this module; any layout gives the same bytes.  W and
+    ``n`` are written into new cell-fastest memory of the step's own, never
+    the kernel's workspace or the inputs, and returned as ``stack + (3, 3)``
+    and ``stack + (3,)`` views of it.
     """
+    e, phases = np.asarray(e), np.asarray(phases)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.asarray(phases)[..., :, None] * e
-        n = np.abs(w[..., _V_ROWS, _V_COLS]) ** 2  # |W01|², |W10|², |W20|²
-        n[..., 0] += np.abs(w[..., 0, 2]) ** 2  # n_s = |W01|² + |W02|²
-    ok = np.isfinite(w).all(axis=(-2, -1)) & np.isfinite(n).all(axis=-1)
-    return w, n, ok
+        w = phases.transpose(-1, *range(phases.ndim - 1))[:, None] * e.transpose(
+            -2, -1, *range(e.ndim - 2))
+        n = np.abs(w[_V_ROWS, _V_COLS]) ** 2  # |W01|², |W10|², |W20|²
+        n[0] += np.abs(w[0, 2]) ** 2  # n_s = |W01|² + |W02|²
+    ok = np.isfinite(w).all(axis=(0, 1)) & np.isfinite(n).all(axis=0)
+    return w.transpose(*range(2, w.ndim), 0, 1), n.transpose(*range(1, n.ndim), 0), ok
 
 
 def _frame_phases(delta, length):
     """(e^{-ih}, e^{ih}, e^{ih}) per cell with h = ΔL/2, from one exponential; never warns."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp(1j * (0.5 * delta * length))
-    phases = np.empty((*p.shape, 3), np.complex128)
-    np.conjugate(p, out=phases[..., 0])
-    phases[..., 1:] = p[..., None]
-    return phases
+    rows = np.empty((3, *p.shape), np.complex128)
+    np.conjugate(p, out=rows[:1])
+    rows[1:] = p
+    return rows.transpose(*range(1, rows.ndim), 0)  # rows (3, ...) viewed as (..., 3)
 
 
 def propagate_batch(gamma, kappa, delta, length):
@@ -393,8 +410,14 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     e = expm_i(build_generator(p), steps * (p.length / max(samples - 1, 1)))
     with np.errstate(over="ignore", invalid="ignore"):  # rows (q, i), columns (j, l)
         grid = e[b:].reshape(-1, 3) @ e[:b].transpose(1, 0, 2).reshape(3, -1)
-    grid = grid.reshape(-1, 3, b, 3).swapaxes(1, 2).reshape(-1, 3, 3)[:samples]
-    return propagate_step(grid, _frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
+    # Contiguous planes (i, l, k), k = q·b + j: the whole coarse blocks, then the rest of the last.
+    grid = grid.reshape(-1, 3, b, 3).transpose(1, 3, 0, 2)
+    planes, (q, r) = np.empty((3, 3, samples), np.complex128), divmod(samples, b)
+    planes[..., : q * b].reshape(3, 3, q, b)[...] = grid[:, :, :q]
+    planes[..., q * b :] = grid[:, :, q:, :r].reshape(3, 3, r)
+    del grid  # freed before the step allocates: with both grids alive the call peaked 85 KiB higher
+    return propagate_step(planes.transpose(2, 0, 1),
+                          _frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:

@@ -595,6 +595,42 @@ def test_step_occupations_are_bitwise_those_of_the_split_blocks(cells):
     assert np.isfinite(w).all() and not ok[::3].any() and ok[1::3].all() and ok[2::3].all()
 
 
+@pytest.mark.parametrize("stack", [(), (6,), (2, 3)])
+def test_step_bytes_do_not_depend_on_the_layout_of_its_inputs(stack):
+    # The step reads e as planes and the phases as rows.  A C-order stack and a cell-fastest
+    # view of the same values, in every pairing, must give the bytes of diag(phases)·e, also
+    # in cells with a NaN, an inf or an entry whose square overflows; a written W must leave
+    # its n and the step's inputs as they were.
+    rng = np.random.default_rng(32)
+    e = rng.normal(size=(*stack, 3, 3)) + 1j * rng.normal(size=(*stack, 3, 3))
+    phases = np.exp(1j * rng.uniform(-50.0, 50.0, (*stack, 3)))
+    cells, rows = e.reshape(-1, 3, 3), phases.reshape(-1, 3)  # views: writes reach e and phases
+    cells[0, 0, 2] = 1e200  # n_s overflows
+    if stack:
+        cells[1, 1, 2], cells[2, 2, 0], rows[3, 1] = np.nan, np.inf, np.nan
+    e_planes = np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
+    p_rows = np.ascontiguousarray(np.moveaxis(phases, -1, 0))
+    layouts = [(a, b) for a in (e, np.moveaxis(e_planes, (0, 1), (-2, -1)))
+               for b in (phases, np.moveaxis(p_rows, 0, -1))]
+    held = [np.array(a, copy=True) for pair in layouts for a in pair]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_w = phases[..., :, None] * e
+    results = [dynamics.propagate_step(a, b) for a, b in layouts]
+    assert results[0][0].tobytes() == want_w.tobytes()
+    for w, n, ok in results:
+        assert (w.shape, n.shape, np.shape(ok)) == (e.shape, phases.shape, stack)
+        for got, want in zip((w, n, ok), results[0]):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    ok = np.reshape(results[0][2], -1)
+    assert not ok[:4 if stack else 1].any() and ok[4:].all()
+    w, n, _ = results[-1]
+    n_held = n.copy()
+    w[...] = 7.0
+    assert n.tobytes() == n_held.tobytes()
+    for array, want in zip((a for pair in layouts for a in pair), held):
+        assert array.tobytes() == want.tobytes()
+
+
 def test_batch_flags_invalid_and_overflowing_cells_without_raising():
     gamma = [0.5, -1.0, math.nan, 0.5, 1000.0, 200.0, 0.0139]
     kappa = [1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 8.13e17]

@@ -68,9 +68,12 @@ def test_artifact_digests_are_the_same_on_every_run():
     lines = [line.split("  ") for line in first.splitlines()]
     assert [name for _, _, name in lines] == [
         f"{artifact} {fmt}" for artifact in ("sweep fig2", "sweep fig3", "sweep mixed", "ridge 3:10:8")
-        for fmt in ("json", "csv")] + ["simulate 0.5 8 6 3 json", "dressed-check 3 json"]
+        for fmt in ("json", "csv")] + ["simulate 0.5 8 6 3 json", "dressed-check 3 json"] + [
+        "propagate_lengths 0.5 5 0 3 601", "max_signal_over_length 40 peaks",
+        "resonant_vs_qpm 0.5 5 61", "propagate_batch seeded 16x32"]
     assert all(len(digest) == 64 for digest, _, _ in lines)
-    assert {code for _, code, _ in lines} == {"exit 0", "exit 4"}  # the mixed sweep's cells fail
+    # the mixed sweep's cells fail; the last four lines are library calls
+    assert {code for _, code, _ in lines} == {"exit 0", "exit 4", "library"}
 
 
 def test_call_costs_prints_one_line_per_call():
@@ -78,8 +81,8 @@ def test_call_costs_prints_one_line_per_call():
              _run("call_costs.py", "--repeats", "1", "--number", "1").splitlines()]
     assert [name for name, _ in lines] == [
         f"{call} {n} cells" for n in (1, 33, 132, 257, 512) for call in ("propagate_batch", "expm_i")
-    ] + ["propagate_lengths 0.5 5 0 3 601", "vacuum_occupations(propagate_exact) 1 cell",
-         "ridge point bookkeeping"]
+    ] + ["propagate_lengths 0.5 5 0 3 601", "max_signal_over_length 601", "resonant_vs_qpm 61",
+         "vacuum_occupations(propagate_exact) 1 cell", "ridge point bookkeeping"]
     [float(us) for _, us in lines]  # each figure is a number; its size is not checked
 
 
