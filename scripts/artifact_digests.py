@@ -48,17 +48,17 @@ MIXED_SWEEP = {
 }
 
 
-def seeded_stack(seed: int = 32, shape=(16, 32)):
-    """(Γ, κ, Δ, L) over ``shape``: supported cells, with every 7th Γ negative, every 11th κ
+def seeded_stack():
+    """(Γ, κ, Δ, L) over a 16 × 32 stack: supported cells, with every 7th Γ negative, every 11th κ
     NaN, every 13th cell at Γ·L = 500 (its occupations overflow) and every 17th at
     Γ·L = 2500 (its W overflows)."""
-    rng = np.random.default_rng(seed)
-    g, k, d, t = (rng.uniform(lo, hi, shape).ravel() for lo, hi in
+    rng = np.random.default_rng(32)
+    g, k, d, t = (rng.uniform(lo, hi, (16, 32)).ravel() for lo, hi in
                   ((0.0, 2.0), (0.0, 10.0), (-10.0, 10.0), (0.0, 3.0)))
     g[::7], k[::11] = -1.0, np.nan
     g[::13], t[::13] = 200.0, 2.5
     g[::17], t[::17] = 1000.0, 2.5
-    return tuple(a.reshape(shape) for a in (g, k, d, t))
+    return tuple(a.reshape(16, 32) for a in (g, k, d, t))
 
 
 def library_results():

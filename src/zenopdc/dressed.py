@@ -27,6 +27,7 @@ from .dynamics import (
     BogoliubovMap,
     ModeOccupations,
     expm_i,
+    phase_rows,
     propagate_step,
     split_transfer,
 )
@@ -75,11 +76,10 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
     signal row needs the factor e^{-iΔL}.  A cell that is not finite raises
     NumericError.
     """
-    phases = np.ones((3, *np.shape(length)), dtype=np.complex128)  # rows, one per mode
     with np.errstate(over="ignore", invalid="ignore"):
-        phases[0] = np.exp(1j * (-delta * np.asarray(length)))
+        signal = np.exp(1j * (-delta * np.asarray(length)))
     m = build_dressed_generator(gamma, kappa, delta)
-    w, n, ok = propagate_step(expm_i(m, length), phases.transpose(*range(1, phases.ndim), 0))
+    w, n, ok = propagate_step(expm_i(m, length), phase_rows(signal, 1.0))
     require_ok(ok, "dressed propagation")
     return w, n
 

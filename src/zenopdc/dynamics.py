@@ -329,14 +329,18 @@ def propagate_step(e: NDArray[np.complex128], phases):
     ``phases`` the frame phase factors e^{iθ} per row, shape ``stack + (3,)``.  Returns
     stacked ``(w, n, ok)``: ``n`` holds the occupations, read from the four
     V entries of W, and ``ok`` marks the cells whose W and ``n`` are finite.
-    Nothing raises or warns for the others.  The step computes on ``e`` as
-    planes (3, 3, ...) and on ``phases`` as rows (3, ...), contiguous when
-    they come from this module; any layout gives the same bytes.  W and
+    Nothing raises or warns for the others.  Stacks that differ broadcast
+    as in diag(phases) · e: the phases scale W's rows.  The step computes on
+    ``e`` as planes (3, 3, ...) and on ``phases`` as rows (3, ...), contiguous
+    when they come from this module; any layout gives the same bytes.  W and
     ``n`` are written into new cell-fastest memory of the step's own, never
     the kernel's workspace or the inputs, and returned as ``stack + (3, 3)``
     and ``stack + (3,)`` views of it.
     """
     e, phases = np.asarray(e), np.asarray(phases)
+    if phases.shape != e.shape[:-1]:  # broadcast the phases over W's rows, both as one stack
+        shape = np.broadcast_shapes(phases.shape + (1,), e.shape)
+        e, phases = np.broadcast_to(e, shape), np.broadcast_to(phases, shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         w = phases.transpose(-1, *range(phases.ndim - 1))[:, None] * e.transpose(
             -2, -1, *range(e.ndim - 2))
@@ -350,10 +354,14 @@ def _frame_phases(delta, length):
     """(e^{-ih}, e^{ih}, e^{ih}) per cell with h = ΔL/2, from one exponential; never warns."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp(1j * (0.5 * delta * length))
-    rows = np.empty((3, *p.shape), np.complex128)
-    np.conjugate(p, out=rows[:1])
-    rows[1:] = p
-    return rows.transpose(*range(1, rows.ndim), 0)  # rows (3, ...) viewed as (..., 3)
+    return phase_rows(np.conjugate(p), p)
+
+
+def phase_rows(first, rest):
+    """Phases (first, rest, rest) per cell, written as rows (3, ...) and viewed as (..., 3)."""
+    rows = np.empty((3, *np.shape(first)), np.complex128)
+    rows[0], rows[1:] = first, rest
+    return rows.transpose(*range(1, rows.ndim), 0)
 
 
 def propagate_batch(gamma, kappa, delta, length):

@@ -631,6 +631,23 @@ def test_step_bytes_do_not_depend_on_the_layout_of_its_inputs(stack):
         assert array.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("e_stack, p_stack", [((6,), ()), ((), (6,)), ((2, 1), (3,))])
+def test_step_broadcasts_the_phases_over_the_rows_of_w(e_stack, p_stack):
+    # Stacks that differ broadcast as diag(phases)·e does: a (3,) phase vector scales the rows
+    # of every W in a stack, and a stack of phases scales rows of one shared e.
+    rng = np.random.default_rng(7)
+    e = rng.normal(size=(*e_stack, 3, 3)) + 1j * rng.normal(size=(*e_stack, 3, 3))
+    phases = np.exp(1j * rng.uniform(-5.0, 5.0, (*p_stack, 3)))
+    want_w = phases[..., :, None] * e
+    stack = want_w.shape[:-2]
+    w, n, ok = dynamics.propagate_step(e, phases)
+    full = dynamics.propagate_step(np.broadcast_to(e, want_w.shape).copy(),
+                                   np.broadcast_to(phases, (*stack, 3)).copy())
+    assert w.tobytes() == want_w.tobytes() and w.shape == want_w.shape
+    for got, want in zip((n, ok), full[1:]):
+        assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+
+
 def test_batch_flags_invalid_and_overflowing_cells_without_raising():
     gamma = [0.5, -1.0, math.nan, 0.5, 1000.0, 200.0, 0.0139]
     kappa = [1.0, 1.0, 1.0, -0.1, 0.0, 0.0, 8.13e17]
