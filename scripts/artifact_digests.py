@@ -18,6 +18,9 @@ Each line is ``<sha256>  exit <code>  <artifact>`` for a CLI artifact and
   propagate_batch of a seeded 16 × 32 stack    w, n and ok; the stack holds
                                                invalid, overflowing and
                                                NaN-rate cells
+  dressed_bogoliubov_map and propagate_dressed each map's (u, v) and the
+    on 16 seeded cells                         occupations; the cells are drawn
+                                               from dressed-check's ranges
 
 No CLI artifact covers these library paths.  The package is imported from
 the ``src/`` next to this script, so running the script of each of two
@@ -31,13 +34,14 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from zenopdc import cli, dressed, dynamics, sweeps  # noqa: E402
+from zenopdc import CouplerParams, cli, dressed, dynamics, sweeps  # noqa: E402
 
 #: Closed form in the kappa = 0 row, numeric elsewhere, and cells whose gain*length overflows.
 MIXED_SWEEP = {
@@ -61,16 +65,28 @@ def seeded_stack():
     return tuple(a.reshape(16, 32) for a in (g, k, d, t))
 
 
+def dressed_cells():
+    """Sixteen seeded (Γ, κ, Δ, L) cells, drawn from the ranges of ``dressed-check --seed``."""
+    rng = np.random.default_rng(33)
+    return [CouplerParams(rng.uniform(0.05, 1.5), rng.uniform(0.0, 10.0),
+                          rng.uniform(-10.0, 10.0), rng.uniform(0.0, 3.0)) for _ in range(16)]
+
+
 def library_results():
     """The arrays of each library call of the docstring's list, by the name it prints."""
     peaks = [sweeps.max_signal_over_length(0.5, kappa, 0.0, 3.0, 601)
              for kappa in np.linspace(0.5, 20.0, 40)]
     table = dressed.resonant_vs_qpm(0.5, 5.0, np.linspace(0.0, 3.0, 61))
+    cells = dressed_cells()
+    maps = [dressed.dressed_bogoliubov_map(p) for p in cells]
+    occupations = [astuple(dressed.propagate_dressed(p)) for p in cells]
     return {
         "propagate_lengths 0.5 5 0 3 601": dynamics.propagate_lengths(0.5, 5.0, 0.0, 3.0, 601),
         "max_signal_over_length 40 peaks": (np.array(peaks),),
         "resonant_vs_qpm 0.5 5 61": tuple(table.values()),
         "propagate_batch seeded 16x32": dynamics.propagate_batch(*seeded_stack()),
+        "dressed seeded 16 cells": (*(b for m in maps for b in (m.u_block, m.v_block)),
+                                    np.array(occupations)),
     }
 
 

@@ -12,8 +12,9 @@ anti-freezing resonance, and its effective gain Γ/√2 slightly exceeds the
 own generator and rotating frame (phases Δ, ±κ per mode instead of the
 uniform Δ/2 used by ``dynamics.propagate_exact``), which makes it a genuinely
 independent route to the same occupations; only the kernel
-``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (phase factors
-(e^{-iΔL}, 1, 1) in, W and ``n`` out) and its finiteness rule are shared.
+``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (the signal's
+phase factor e^{-iΔL} and the (c, d) pair's factor 1 in, W and ``n`` out)
+and its finiteness rule are shared.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .dynamics import (
     BogoliubovMap,
     ModeOccupations,
     expm_i,
-    phase_rows,
     propagate_step,
     split_transfer,
 )
@@ -79,7 +79,7 @@ def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
     with np.errstate(over="ignore", invalid="ignore"):
         signal = np.exp(1j * (-delta * np.asarray(length)))
     m = build_dressed_generator(gamma, kappa, delta)
-    w, n, ok = propagate_step(expm_i(m, length), phase_rows(signal, 1.0))
+    w, n, ok = propagate_step(expm_i(m, length), signal, 1.0)
     require_ok(ok, "dressed propagation")
     return w, n
 

@@ -15,8 +15,9 @@ constant real generator
          [  0,   -κ,  -Δ/2 ]].
 
 Every exact route ends in one :func:`propagate_step`: exponents exp(i M L)
-from :func:`expm_i` (the package's one matrix-exponential kernel) and per-row
-frame phase factors in, ``(w, n, ok)`` out: W, its vacuum occupations ``n``
+from :func:`expm_i` (the package's one matrix-exponential kernel) and the
+frame's two phase factors in, one for the signal row and one shared by the
+idler and probe rows, ``(w, n, ok)`` out: W, its vacuum occupations ``n``
 and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
@@ -30,12 +31,11 @@ plane views for a stack size are made on the thread's first call of that
 size and kept beside the workspace, so a call of a size seen before builds
 no view; no output of the kernel or of a step is such a view.  Every array
 of a stacked call stays cell-fastest: the kernel returns a copy of its
-result planes seen as a (..., 3, 3) view, the frame phases are rows (3, ...)
-seen as (..., 3), and the step computes on planes and rows and writes W and
-``n`` into cell-fastest memory of its own, handed out as (..., 3, 3) and
-(..., 3) views.  So a caller that reads only ``n`` and ``ok`` pays no
-transpose, and the finiteness rule reduces over the leading axes of
-contiguous rows.
+result planes seen as a (..., 3, 3) view, and the step multiplies those
+planes by the two frame factors straight into cell-fastest memory of its
+own and writes ``n`` into more of it, handed out as (..., 3, 3) and (..., 3)
+views.  So a caller that reads only ``n`` and ``ok`` pays no transpose, and
+the finiteness rule reduces over the leading axes of contiguous rows.
 :func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
 write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
 e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
@@ -321,29 +321,30 @@ def split_transfer(
     return u, v
 
 
-def propagate_step(e: NDArray[np.complex128], phases):
-    """The one exact propagation step: the transfer matrix W = diag(phases) · e.
+def propagate_step(e: NDArray[np.complex128], first, rest):
+    """The one exact propagation step: the transfer matrix W = diag(first, rest, rest) · e.
 
     ``e`` is the rotating-frame exponent exp(i m L) of one generator or a
-    stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`, and
-    ``phases`` the frame phase factors e^{iθ} per row, shape ``stack + (3,)``.  Returns
-    stacked ``(w, n, ok)``: ``n`` holds the occupations, read from the four
-    V entries of W, and ``ok`` marks the cells whose W and ``n`` are finite.
-    Nothing raises or warns for the others.  Stacks that differ broadcast
-    as in diag(phases) · e: the phases scale W's rows.  The step computes on
-    ``e`` as planes (3, 3, ...) and on ``phases`` as rows (3, ...), contiguous
-    when they come from this module; any layout gives the same bytes.  W and
-    ``n`` are written into new cell-fastest memory of the step's own, never
-    the kernel's workspace or the inputs, and returned as ``stack + (3, 3)``
-    and ``stack + (3,)`` views of it.
+    stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`.
+    ``first`` is the frame phase factor of the signal row and ``rest`` the one
+    the idler and probe rows share, each a scalar or an array that broadcasts
+    to ``e``'s stack: every frame of the package has this form, (e^{-iΔL/2},
+    e^{iΔL/2}) here and (e^{-iΔL}, 1) in ``dressed``.  Returns stacked
+    ``(w, n, ok)``: ``n`` holds the occupations, read from the four V entries
+    of W, and ``ok`` marks the cells whose W and ``n`` are finite.  Nothing
+    raises or warns for the others.  The step reads ``e`` as planes
+    (3, 3, ...), contiguous when it comes from this module; any layout gives
+    the same bytes.  W is formed by two multiplies into new cell-fastest
+    memory of the step's own and ``n`` into more of it, never the kernel's
+    workspace or the inputs; they are returned as ``stack + (3, 3)`` and
+    ``stack + (3,)`` views of it.
     """
-    e, phases = np.asarray(e), np.asarray(phases)
-    if phases.shape != e.shape[:-1]:  # broadcast the phases over W's rows, both as one stack
-        shape = np.broadcast_shapes(phases.shape + (1,), e.shape)
-        e, phases = np.broadcast_to(e, shape), np.broadcast_to(phases, shape[:-1])
+    e = np.asarray(e)
+    planes = e.transpose(-2, -1, *range(e.ndim - 2))
+    w = np.empty(planes.shape, np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = phases.transpose(-1, *range(phases.ndim - 1))[:, None] * e.transpose(
-            -2, -1, *range(e.ndim - 2))
+        np.multiply(first, planes[0], out=w[0])
+        np.multiply(rest, planes[1:], out=w[1:])
         n = np.abs(w[_V_ROWS, _V_COLS]) ** 2  # |W01|², |W10|², |W20|²
         n[0] += np.abs(w[0, 2]) ** 2  # n_s = |W01|² + |W02|²
     ok = np.isfinite(w).all(axis=(0, 1)) & np.isfinite(n).all(axis=0)
@@ -351,17 +352,13 @@ def propagate_step(e: NDArray[np.complex128], phases):
 
 
 def _frame_phases(delta, length):
-    """(e^{-ih}, e^{ih}, e^{ih}) per cell with h = ΔL/2, from one exponential; never warns."""
+    """The frame's factors (e^{-ih}, e^{ih}) per cell, h = ΔL/2, from one exponential; never warns.
+
+    The first turns the signal row, the second the idler and probe rows.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.exp(1j * (0.5 * delta * length))
-    return phase_rows(np.conjugate(p), p)
-
-
-def phase_rows(first, rest):
-    """Phases (first, rest, rest) per cell, written as rows (3, ...) and viewed as (..., 3)."""
-    rows = np.empty((3, *np.shape(first)), np.complex128)
-    rows[0], rows[1:] = first, rest
-    return rows.transpose(*range(1, rows.ndim), 0)
+    return np.conjugate(p), p
 
 
 def propagate_batch(gamma, kappa, delta, length):
@@ -376,7 +373,7 @@ def propagate_batch(gamma, kappa, delta, length):
     """
     # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
-    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), _frame_phases(d, t))
+    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), *_frame_phases(d, t))
     ok &= finite
     if not ok.all():
         w[~ok] = n[~ok] = np.nan
@@ -425,7 +422,7 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     planes[..., q * b :] = grid[:, :, q:, :r].reshape(3, 3, r)
     del grid  # freed before the step allocates: with both grids alive the call peaked 85 KiB higher
     return propagate_step(planes.transpose(2, 0, 1),
-                          _frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
+                          *_frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:

@@ -588,7 +588,8 @@ def test_step_occupations_are_bitwise_those_of_the_split_blocks(cells):
     g, k, d, t = (rng.uniform(lo, hi, cells) for lo, hi in ((0, 2), (0, 10), (-10, 10), (0, 3)))
     g[::3], t[::3] = 200.0, 2.5
     e = expm_i(dynamics._generators(g, k, d), t)
-    w, n, ok = dynamics.propagate_step(e, np.exp(1j * rng.uniform(-50.0, 50.0, (cells, 3))))
+    first, rest = np.exp(1j * rng.uniform(-50.0, 50.0, (2, cells)))
+    w, n, ok = dynamics.propagate_step(e, first, rest)
     want = occupation_numbers(split_transfer(w)[1])
     assert np.array_equal(n, want)
     assert np.array_equal(ok, np.isfinite(w).all(axis=(1, 2)) & np.isfinite(want).all(axis=1))
@@ -597,28 +598,29 @@ def test_step_occupations_are_bitwise_those_of_the_split_blocks(cells):
 
 @pytest.mark.parametrize("stack", [(), (6,), (2, 3)])
 def test_step_bytes_do_not_depend_on_the_layout_of_its_inputs(stack):
-    # The step reads e as planes and the phases as rows.  A C-order stack and a cell-fastest
-    # view of the same values, in every pairing, must give the bytes of diag(phases)·e, also
-    # in cells with a NaN, an inf or an entry whose square overflows; a written W must leave
-    # its n and the step's inputs as they were.
+    # The step reads e as planes.  A C-order stack and a cell-fastest view of the same values,
+    # with the two frame factors in C order or as strided views, in every pairing, must give
+    # the bytes of diag(first, rest, rest)·e, also in cells with a NaN, an inf or an entry
+    # whose square overflows; a written W must leave its n and the step's inputs as they were.
     rng = np.random.default_rng(32)
     e = rng.normal(size=(*stack, 3, 3)) + 1j * rng.normal(size=(*stack, 3, 3))
-    phases = np.exp(1j * rng.uniform(-50.0, 50.0, (*stack, 3)))
-    cells, rows = e.reshape(-1, 3, 3), phases.reshape(-1, 3)  # views: writes reach e and phases
+    first, rest = np.exp(1j * rng.uniform(-50.0, 50.0, (2, *stack)))
+    cells, rests = e.reshape(-1, 3, 3), rest.reshape(-1)  # views: writes reach e and rest
     cells[0, 0, 2] = 1e200  # n_s overflows
     if stack:
-        cells[1, 1, 2], cells[2, 2, 0], rows[3, 1] = np.nan, np.inf, np.nan
+        cells[1, 1, 2], cells[2, 2, 0], rests[3] = np.nan, np.inf, np.nan
     e_planes = np.ascontiguousarray(np.moveaxis(e, (-2, -1), (0, 1)))
-    p_rows = np.ascontiguousarray(np.moveaxis(phases, -1, 0))
-    layouts = [(a, b) for a in (e, np.moveaxis(e_planes, (0, 1), (-2, -1)))
-               for b in (phases, np.moveaxis(p_rows, 0, -1))]
-    held = [np.array(a, copy=True) for pair in layouts for a in pair]
+    strided = np.empty((2, *stack, 2), complex)  # each factor every other entry of its array
+    strided[..., 0] = first, rest
+    layouts = [(a, *b) for a in (e, np.moveaxis(e_planes, (0, 1), (-2, -1)))
+               for b in ((first, rest), (strided[0, ..., 0], strided[1, ..., 0]))]
+    held = [np.array(a, copy=True) for triple in layouts for a in triple]
     with np.errstate(over="ignore", invalid="ignore"):
-        want_w = phases[..., :, None] * e
-    results = [dynamics.propagate_step(a, b) for a, b in layouts]
+        want_w = np.stack([first, rest, rest], -1)[..., :, None] * e
+    results = [dynamics.propagate_step(*triple) for triple in layouts]
     assert results[0][0].tobytes() == want_w.tobytes()
     for w, n, ok in results:
-        assert (w.shape, n.shape, np.shape(ok)) == (e.shape, phases.shape, stack)
+        assert (w.shape, n.shape, np.shape(ok)) == (e.shape, (*stack, 3), stack)
         for got, want in zip((w, n, ok), results[0]):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     ok = np.reshape(results[0][2], -1)
@@ -627,24 +629,24 @@ def test_step_bytes_do_not_depend_on_the_layout_of_its_inputs(stack):
     n_held = n.copy()
     w[...] = 7.0
     assert n.tobytes() == n_held.tobytes()
-    for array, want in zip((a for pair in layouts for a in pair), held):
+    for array, want in zip((a for triple in layouts for a in triple), held):
         assert array.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("e_stack, p_stack", [((6,), ()), ((), (6,)), ((2, 1), (3,))])
+@pytest.mark.parametrize("e_stack, p_stack", [((6,), ((6,), None)), ((6,), ((), (6,)))])
 def test_step_broadcasts_the_phases_over_the_rows_of_w(e_stack, p_stack):
-    # Stacks that differ broadcast as diag(phases)·e does: a (3,) phase vector scales the rows
-    # of every W in a stack, and a stack of phases scales rows of one shared e.
+    # A factor broadcasts to e's stack as diag(first, rest, rest)·e does: a scalar rest = 1.0
+    # (None here; the dressed frame) or a 0-d first scales its rows of every W, bitwise as
+    # full arrays do.
     rng = np.random.default_rng(7)
     e = rng.normal(size=(*e_stack, 3, 3)) + 1j * rng.normal(size=(*e_stack, 3, 3))
-    phases = np.exp(1j * rng.uniform(-5.0, 5.0, (*p_stack, 3)))
-    want_w = phases[..., :, None] * e
-    stack = want_w.shape[:-2]
-    w, n, ok = dynamics.propagate_step(e, phases)
-    full = dynamics.propagate_step(np.broadcast_to(e, want_w.shape).copy(),
-                                   np.broadcast_to(phases, (*stack, 3)).copy())
+    first, rest = (1.0 if shape is None else np.exp(1j * rng.uniform(-5.0, 5.0, shape))
+                   for shape in p_stack)
+    want_w = np.stack(np.broadcast_arrays(first, rest, rest), -1)[..., :, None] * e
+    w, n, ok = dynamics.propagate_step(e, first, rest)
+    full = dynamics.propagate_step(e, *(np.broadcast_to(f, e_stack).copy() for f in (first, rest)))
     assert w.tobytes() == want_w.tobytes() and w.shape == want_w.shape
-    for got, want in zip((n, ok), full[1:]):
+    for got, want in zip((w, n, ok), full):
         assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
 
 

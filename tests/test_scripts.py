@@ -70,9 +70,9 @@ def test_artifact_digests_are_the_same_on_every_run():
         f"{artifact} {fmt}" for artifact in ("sweep fig2", "sweep fig3", "sweep mixed", "ridge 3:10:8")
         for fmt in ("json", "csv")] + ["simulate 0.5 8 6 3 json", "dressed-check 3 json"] + [
         "propagate_lengths 0.5 5 0 3 601", "max_signal_over_length 40 peaks",
-        "resonant_vs_qpm 0.5 5 61", "propagate_batch seeded 16x32"]
+        "resonant_vs_qpm 0.5 5 61", "propagate_batch seeded 16x32", "dressed seeded 16 cells"]
     assert all(len(digest) == 64 for digest, _, _ in lines)
-    # the mixed sweep's cells fail; the last four lines are library calls
+    # the mixed sweep's cells fail; the last five lines are library calls
     assert {code for _, code, _ in lines} == {"exit 0", "exit 4", "library"}
 
 
@@ -80,7 +80,8 @@ def test_call_costs_prints_one_line_per_call():
     lines = [line.rsplit("  ", 1) for line in
              _run("call_costs.py", "--repeats", "1", "--number", "1").splitlines()]
     assert [name for name, _ in lines] == [
-        f"{call} {n} cells" for n in (1, 33, 132, 257, 512) for call in ("propagate_batch", "expm_i")
+        f"{call} {n} cells" for n in (1, 33, 132, 257, 512)
+        for call in ("propagate_batch", "expm_i", "propagate_step")
     ] + ["propagate_lengths 0.5 5 0 3 601", "max_signal_over_length 601", "resonant_vs_qpm 61",
          "vacuum_occupations(propagate_exact) 1 cell", "ridge point bookkeeping"]
     [float(us) for _, us in lines]  # each figure is a number; its size is not checked
