@@ -11,11 +11,11 @@ Each line is ``<sha256>  exit <code>  <artifact>`` for a CLI artifact and
   simulate --gamma 0.5 --kappa 8 --delta 6     JSON; a one-cell exponential
     --length 3                                 that takes 3 squarings
   dressed-check --seed 3                       JSON
-  propagate_lengths(0.5, 5, 0, 3, 601)         w, n and ok
+  propagate_lengths(0.5, 5, 0, 3, 601)         n and ok
   max_signal_over_length(0.5, κ, 0, 3, 601)    the 40 envelope peaks, κ in
                                                linspace(0.5, 20, 40)
   resonant_vs_qpm(0.5, 5, linspace(0, 3, 61))  its four columns
-  propagate_batch of a seeded 16 × 32 stack    w, n and ok; the stack holds
+  propagate_batch of a seeded 16 × 32 stack    n and ok; the stack holds
                                                invalid, overflowing and
                                                NaN-rate cells
   dressed_bogoliubov_map and propagate_dressed each map's (u, v) and the

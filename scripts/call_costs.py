@@ -6,8 +6,9 @@ time of ``--number`` calls.  The lines:
 
   propagate_batch N cells        one stacked propagation, N in 1 33 132 257 512
   expm_i N cells                 the kernel alone on the same N generators
-  propagate_step N cells         the step alone on that kernel output and the
-                                 frame factors of the same N cells
+  propagate_step N cells         the step alone on that kernel output
+  transfer N cells               W from that kernel output and the frame
+                                 factors e^{∓iΔL/2} of the same N cells
   propagate_lengths 0.5 5 0 3 601
   max_signal_over_length 601     one envelope peak, (Γ, κ, Δ) = (0.5, 5, 0), L <= 3
   resonant_vs_qpm 61             the dressed route on linspace(0, 3, 61) at Γ = 0.5, Δ = 5
@@ -88,8 +89,9 @@ def main() -> int:
         m = dynamics._generators(g, k, d)
         timed[f"propagate_batch {n} cells"] = partial(dynamics.propagate_batch, g, k, d, t)
         timed[f"expm_i {n} cells"] = partial(dynamics.expm_i, m, t)
-        timed[f"propagate_step {n} cells"] = partial(dynamics.propagate_step, dynamics.expm_i(m, t),
-                                                     *dynamics._frame_phases(d, t))
+        e, phase = dynamics.expm_i(m, t), np.exp(1j * (0.5 * d * t))
+        timed[f"propagate_step {n} cells"] = partial(dynamics.propagate_step, e)
+        timed[f"transfer {n} cells"] = partial(dynamics.transfer, e, phase.conj(), phase)
     timed["propagate_lengths 0.5 5 0 3 601"] = partial(dynamics.propagate_lengths,
                                                        0.5, 5.0, 0.0, 3.0, 601)
     timed["max_signal_over_length 601"] = partial(sweeps.max_signal_over_length,

@@ -12,9 +12,9 @@ anti-freezing resonance, and its effective gain Γ/√2 slightly exceeds the
 own generator and rotating frame (phases Δ, ±κ per mode instead of the
 uniform Δ/2 used by ``dynamics.propagate_exact``), which makes it a genuinely
 independent route to the same occupations; only the kernel
-``dynamics.expm_i``, the last step ``dynamics.propagate_step`` (the signal's
-phase factor e^{-iΔL} and the (c, d) pair's factor 1 in, W and ``n`` out)
-and its finiteness rule are shared.
+``dynamics.expm_i``, the step ``dynamics.propagate_step`` (``n`` and its
+finiteness rule) and, for the map alone, ``dynamics.transfer`` (the signal's
+phase factor e^{-iΔL} and the (c, d) pair's factor 1) are shared.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .dynamics import (
     expm_i,
     propagate_step,
     split_transfer,
+    transfer,
 )
 from .params import CouplerParams, DomainError, InvalidParameterError, require_ok, valid_cells
 from .params import require_finite as _require
@@ -68,26 +69,27 @@ def build_dressed_generator(gamma: float, kappa: float, delta: float) -> NDArray
     )
 
 
-def _dressed_transfer(gamma: float, kappa: float, delta: float, length):
-    """Original-picture W on (s, c, d) and occupations, stacked over ``length``.
+def _dressed_step(gamma: float, kappa: float, delta: float, length):
+    """Dressed-frame exponent on (s, c, d) and its occupations, stacked over ``length``.
 
-    The dressed rotating frame is unwound mode-wise: the e^{∓iκt} phases on
-    (c, d) cancel exactly against their dressed energy shifts, so only the
-    signal row needs the factor e^{-iΔL}.  A cell that is not finite raises
-    NumericError.
+    A cell that is not finite raises NumericError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        signal = np.exp(1j * (-delta * np.asarray(length)))
-    m = build_dressed_generator(gamma, kappa, delta)
-    w, n, ok = propagate_step(expm_i(m, length), signal, 1.0)
+    e = expm_i(build_dressed_generator(gamma, kappa, delta), length)
+    n, ok = propagate_step(e)
     require_ok(ok, "dressed propagation")
-    return w, n
+    return e, n
 
 
 def dressed_bogoliubov_map(params: CouplerParams) -> BogoliubovMap:
-    """Full Bogoliubov map over (s, c, d) in the original interaction picture."""
-    w, _ = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
-    return BogoliubovMap(*split_transfer(w), params, modes=DRESSED_MODES)
+    """Full Bogoliubov map over (s, c, d) in the original interaction picture.
+
+    The dressed rotating frame is unwound mode-wise: the e^{∓iκt} phases on
+    (c, d) cancel exactly against their dressed energy shifts, so only the
+    signal row needs the factor e^{-iΔL}.
+    """
+    e, _ = _dressed_step(params.gamma, params.kappa, params.delta, params.length)
+    signal = np.exp(1j * (-params.delta * np.asarray(params.length)))
+    return BogoliubovMap(*split_transfer(transfer(e, signal, 1.0)), params, modes=DRESSED_MODES)
 
 
 def propagate_dressed(params: CouplerParams) -> ModeOccupations:
@@ -98,12 +100,12 @@ def propagate_dressed(params: CouplerParams) -> ModeOccupations:
 
         n_i = (n_c + n_d)/2 + Re<c†d>,   n_b = (n_c + n_d)/2 - Re<c†d>,
 
-    with <c†d> = Σ_β conj(V_cβ) V_dβ for vacuum input.
+    with <c†d> = Σ_β conj(V_cβ) V_dβ = conj(e_c0)·e_d0 for vacuum input: the
+    frame's factor on the (c, d) rows is exactly 1, so no W is formed.
     """
-    w, n = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
+    e, n = _dressed_step(params.gamma, params.kappa, params.delta, params.length)
     n_s, n_c, n_d = map(float, n)
-    v = split_transfer(w)[1]
-    coherence = float(np.sum(np.conj(v[1]) * v[2]).real)
+    coherence = float((np.conj(e[1, :1]) * e[2, :1]).real[0])  # arrays: scalars round otherwise
     half = 0.5 * (n_c + n_d)
     return ModeOccupations(
         n_s=n_s,
@@ -143,7 +145,7 @@ def resonant_vs_qpm(
     *_, ls, ok = valid_cells(gamma, 0.0, delta, lengths)
     if not np.all(ok):
         raise InvalidParameterError(f"lengths must be finite and >= 0, got {lengths!r}")
-    _, n = _dressed_transfer(gamma, abs(delta), delta, ls)
+    _, n = _dressed_step(gamma, abs(delta), delta, ls)
     return {
         "lengths": ls,
         "resonant": n[..., 0],

@@ -14,11 +14,12 @@ constant real generator
          [ -Γ,  -Δ/2,  -κ  ],
          [  0,   -κ,  -Δ/2 ]].
 
-Every exact route ends in one :func:`propagate_step`: exponents exp(i M L)
-from :func:`expm_i` (the package's one matrix-exponential kernel) and the
-frame's two phase factors in, one for the signal row and one shared by the
-idler and probe rows, ``(w, n, ok)`` out: W, its vacuum occupations ``n``
-and the one finiteness rule ``ok`` (finite W and ``n``).  One-cell routes split W.
+Every exact route ends in one :func:`propagate_step`: an exponent
+exp(i M L) from :func:`expm_i` (the package's one matrix-exponential
+kernel) in, ``(n, ok)`` out: the vacuum occupations ``n``, read from the
+exponent because the frame's phases have unit modulus, and the one
+finiteness rule ``ok`` (finite exponent and ``n``).  Only a caller that
+builds a map forms W = diag(first, rest, rest)·e with :func:`transfer`.
 :func:`expm_i` works on planes, one contiguous (3, 3, n) array per stack,
 so each 3×3 product, the closed-form Padé solve adj(D)·conj(D)/det(D) and
 each masked squaring is a handful of numpy calls over all cells, each
@@ -31,18 +32,16 @@ plane views for a stack size are made on the thread's first call of that
 size and kept beside the workspace, so a call of a size seen before builds
 no view; no output of the kernel or of a step is such a view.  Every array
 of a stacked call stays cell-fastest: the kernel returns a copy of its
-result planes seen as a (..., 3, 3) view, and the step multiplies those
-planes by the two frame factors straight into cell-fastest memory of its
-own and writes ``n`` into more of it, handed out as (..., 3, 3) and (..., 3)
-views.  So a caller that reads only ``n`` and ``ok`` pays no transpose, and
-the finiteness rule reduces over the leading axes of contiguous rows.
-:func:`params.require_ok` raises on a failed mask, and a :class:`BogoliubovMap`
-write-protects its blocks itself.  ``propagate_batch`` runs the frame above (phases
-e^{∓iΔL/2}, one exponential per cell) over arrays of (Γ, κ, Δ, L),
-``propagate_exact`` is one cell of it, and ``dressed`` runs its own frame
-through the same step.  ``propagate_lengths`` runs the same frame over a
-uniform length grid of one generator, each sample the product of two kernel
-outputs (semigroup law), all formed in one complex matrix product.
+result planes seen as a (..., 3, 3) view, and the step writes ``n`` into
+cell-fastest memory of its own, so the finiteness rule reduces over the
+leading axes of contiguous rows.  :func:`params.require_ok` raises on a
+failed mask, and a :class:`BogoliubovMap` write-protects its blocks itself.
+``propagate_batch`` runs the step over arrays of (Γ, κ, Δ, L) and
+``propagate_lengths`` over a uniform length grid of one generator, each
+sample the product of two kernel outputs (semigroup law), all formed in one
+complex matrix product; neither forms a frame phase or W.
+``propagate_exact`` turns W by the phases e^{∓iΔL/2} of the frame above,
+and ``dressed`` runs its own frame through the same step and :func:`transfer`.
 ``propagate_ode`` is the independent numerical oracle: a numpy-only
 Dormand–Prince 5(4) pair integrates the time-dependent system directly, with
 no rotating frame and no matrix exponential, over t/L ∈ [0, 1].  It advances
@@ -321,23 +320,35 @@ def split_transfer(
     return u, v
 
 
-def propagate_step(e: NDArray[np.complex128], first, rest):
-    """The one exact propagation step: the transfer matrix W = diag(first, rest, rest) · e.
+def propagate_step(e: NDArray[np.complex128]):
+    """The one exact propagation step: the vacuum occupations, read from the exponent.
 
     ``e`` is the rotating-frame exponent exp(i m L) of one generator or a
     stack (..., 3, 3), from :func:`expm_i` or :func:`propagate_lengths`.
+    Every frame turns W's rows by unit-modulus factors (:func:`transfer`),
+    so ``n`` is read from the four V entries of ``e``: n_s = |e01|² + |e02|²,
+    n_i = |e10|², n_b = |e20|².  Returns stacked ``(n, ok)``; ``ok`` marks the
+    cells whose ``e`` and ``n`` are finite, and nothing raises or warns for
+    the others.  ``e`` is read as planes (3, 3, ...), any layout giving the
+    same bytes, and ``n`` is new cell-fastest memory seen as ``stack + (3,)``.
+    """
+    e = np.asarray(e)
+    planes = e.transpose(-2, -1, *range(e.ndim - 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.abs(planes[_V_ROWS, _V_COLS]) ** 2  # |e01|², |e10|², |e20|²
+        n[0] += np.abs(planes[0, 2]) ** 2  # n_s = |e01|² + |e02|²
+    ok = np.isfinite(planes).all(axis=(0, 1)) & np.isfinite(n).all(axis=0)
+    return n.transpose(*range(1, n.ndim), 0), ok
+
+
+def transfer(e: NDArray[np.complex128], first, rest) -> NDArray[np.complex128]:
+    """The transfer matrix W = diag(first, rest, rest) · e, for the callers that build a map.
+
     ``first`` is the frame phase factor of the signal row and ``rest`` the one
     the idler and probe rows share, each a scalar or an array that broadcasts
-    to ``e``'s stack: every frame of the package has this form, (e^{-iΔL/2},
-    e^{iΔL/2}) here and (e^{-iΔL}, 1) in ``dressed``.  Returns stacked
-    ``(w, n, ok)``: ``n`` holds the occupations, read from the four V entries
-    of W, and ``ok`` marks the cells whose W and ``n`` are finite.  Nothing
-    raises or warns for the others.  The step reads ``e`` as planes
-    (3, 3, ...), contiguous when it comes from this module; any layout gives
-    the same bytes.  W is formed by two multiplies into new cell-fastest
-    memory of the step's own and ``n`` into more of it, never the kernel's
-    workspace or the inputs; they are returned as ``stack + (3, 3)`` and
-    ``stack + (3,)`` views of it.
+    to ``e``'s stack: (e^{-iΔL/2}, e^{iΔL/2}) in :func:`propagate_exact` and
+    (e^{-iΔL}, 1) in ``dressed``.  W is two multiplies into new cell-fastest
+    memory, never the inputs, returned as a ``stack + (3, 3)`` view.
     """
     e = np.asarray(e)
     planes = e.transpose(-2, -1, *range(e.ndim - 2))
@@ -345,51 +356,39 @@ def propagate_step(e: NDArray[np.complex128], first, rest):
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(first, planes[0], out=w[0])
         np.multiply(rest, planes[1:], out=w[1:])
-        n = np.abs(w[_V_ROWS, _V_COLS]) ** 2  # |W01|², |W10|², |W20|²
-        n[0] += np.abs(w[0, 2]) ** 2  # n_s = |W01|² + |W02|²
-    ok = np.isfinite(w).all(axis=(0, 1)) & np.isfinite(n).all(axis=0)
-    return w.transpose(*range(2, w.ndim), 0, 1), n.transpose(*range(1, n.ndim), 0), ok
-
-
-def _frame_phases(delta, length):
-    """The frame's factors (e^{-ih}, e^{ih}) per cell, h = ΔL/2, from one exponential; never warns.
-
-    The first turns the signal row, the second the idler and probe rows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.exp(1j * (0.5 * delta * length))
-    return np.conjugate(p), p
+    return w.transpose(*range(2, w.ndim), 0, 1)
 
 
 def propagate_batch(gamma, kappa, delta, length):
-    """Propagate every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
+    """Vacuum occupations of every cell of the broadcast (Γ, κ, Δ, L) arrays in one stacked call.
 
-    Returns ``(w, n, ok)``: the stacked transfer matrices W, shape
-    ``broadcast + (3, 3)``, their vacuum occupations (n_s, n_i, n_b) and a
-    boolean mask of the broadcast shape.  A cell that :func:`params.valid_cells`
-    rejects, or whose exponential or occupations are not finite, gets
-    ``ok = False`` and NaN W and occupations; nothing is raised for it.
-    :func:`propagate_exact` is one cell of it.
+    Returns the ``(n, ok)`` of :func:`propagate_step`: (n_s, n_i, n_b), shape
+    ``broadcast + (3,)``, and a mask of the broadcast shape.  A cell that
+    :func:`params.valid_cells` rejects, or whose exponential or occupations
+    are not finite, gets ``ok = False`` and NaN occupations; nothing raises.
+    No frame phase or W is formed; ``n`` agrees with the occupations of
+    :func:`propagate_exact`'s map to ≈1e-15 relative.
     """
-    # An invalid cell propagates the zero generator over L = 0 (W = I) and is blanked below.
+    # An invalid cell propagates the zero generator over L = 0 (e = I) and is blanked below.
     g, k, d, t, ok = valid_cells(gamma, kappa, delta, length)
-    w, n, finite = propagate_step(expm_i(_generators(g, k, d), t), *_frame_phases(d, t))
+    n, finite = propagate_step(expm_i(_generators(g, k, d), t))
     ok &= finite
     if not ok.all():
-        w[~ok] = n[~ok] = np.nan
-    return w, n, ok
+        n[~ok] = np.nan
+    return n, ok
 
 
 def propagate_exact(params: CouplerParams) -> BogoliubovMap:
     """Propagate through length L by exponentiating the rotating-frame generator.
 
-    One cell of :func:`propagate_batch`.  Returns the Bogoliubov map for the
-    original-frame operators; a cell whose exponential or vacuum occupations
-    are not finite raises NumericError.
+    Returns the Bogoliubov map for the original-frame operators, W turned by
+    the frame phases e^{∓iΔL/2}; a cell whose exponential or vacuum
+    occupations are not finite raises NumericError.
     """
-    w, _, ok = propagate_batch(params.gamma, params.kappa, params.delta, params.length)
-    require_ok(ok, "exact propagation")
-    return BogoliubovMap(*split_transfer(w), params)
+    e = expm_i(build_generator(params), params.length)
+    require_ok(propagate_step(e)[1], "exact propagation")
+    phase = np.exp(1j * (0.5 * params.delta * params.length))  # finite, as e is
+    return BogoliubovMap(*split_transfer(transfer(e, np.conjugate(phase), phase)), params)
 
 
 def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: float, samples: int):
@@ -402,10 +401,9 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     coarse·fine 3×3 products are one complex matrix product with inner
     dimension 3.  Each sample is the product of exactly two kernel outputs,
     so its rounding error does not grow along the grid as it would by
-    stepping.  The frame phases are those of :func:`propagate_batch`.
-    Returns the ``(w, n, ok)`` of :func:`propagate_step`, stacked over the
-    samples; a sample that is not finite gets ``ok = False`` and raises
-    nothing.  The rates and ``length_max`` are validated as one
+    stepping.  Returns the ``(n, ok)`` of :func:`propagate_step`, stacked
+    over the samples; a sample that is not finite gets ``ok = False`` and
+    raises nothing.  The rates and ``length_max`` are validated as one
     :class:`CouplerParams`, so a bad ``length_max`` is reported as ``length``;
     that, or a ``samples`` that is not an int >= 1, raises InvalidParameterError.
     """
@@ -420,9 +418,8 @@ def propagate_lengths(gamma: float, kappa: float, delta: float, length_max: floa
     planes, (q, r) = np.empty((3, 3, samples), np.complex128), divmod(samples, b)
     planes[..., : q * b].reshape(3, 3, q, b)[...] = grid[:, :, :q]
     planes[..., q * b :] = grid[:, :, q:, :r].reshape(3, 3, r)
-    del grid  # freed before the step allocates: with both grids alive the call peaked 85 KiB higher
-    return propagate_step(planes.transpose(2, 0, 1),
-                          *_frame_phases(p.delta, np.linspace(0.0, p.length, samples)))
+    del grid  # freed before the step allocates, so the call's peak holds one grid
+    return propagate_step(planes.transpose(2, 0, 1))
 
 
 def propagate_ode(params: CouplerParams) -> BogoliubovMap:

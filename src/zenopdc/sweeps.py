@@ -13,8 +13,9 @@ propagation (:func:`dynamics.propagate_lengths`: one kernel call on ≈2√N
 lengths), and the ridge propagates only in stacks: per Δ one 257-point κ
 scan, then 4–5 zoom levels of 33 points at Δ ∈ [3, 10], each shrinking its
 bracket 16× until its half-width is ≤ 1e-6.  The zoom levels are evaluated
-in chains, so a Δ takes ≈2 stacked calls.  Each one reads n_s from the
-occupations that the propagation returns with W.
+in chains, so a Δ takes ≈2 stacked calls.  Every path reads n_s from the
+occupations of the frame-free step (no phase, no W), which agree with
+``simulate``'s to ≈1e-15 relative.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class RidgePoint:
 
 def _signal(gamma, kappa, delta, length) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Signal occupations of one stacked propagation, and its per-cell ok mask."""
-    _, n, ok = propagate_batch(gamma, kappa, delta, length)
+    n, ok = propagate_batch(gamma, kappa, delta, length)
     return n[..., 0], ok
 
 
@@ -182,7 +183,7 @@ def sweep_2d(spec: SweepSpec, threads: int = 1) -> SweepGrid:
             n_s, _, _, _, ok = closed_form_batch(*cells[:, closed])
             record(flat[closed], n_s, ok, _CLOSED)
             flat, cells = flat[~closed], cells[:, ~closed]
-        _, n, ok = propagate_batch(*cells)
+        n, ok = propagate_batch(*cells)
         record(flat, n[..., 0], ok, _NUMERIC)
     failures = int(np.count_nonzero(codes == _FAILED))
     return SweepGrid(spec=spec, values=values, codes=codes, failures=failures)
@@ -287,6 +288,6 @@ def max_signal_over_length(
     The grid is one :func:`dynamics.propagate_lengths` call; a length at which
     it is not finite raises NumericError.
     """
-    _, n, ok = propagate_lengths(gamma, kappa, delta, length_max, samples)
+    n, ok = propagate_lengths(gamma, kappa, delta, length_max, samples)
     require_ok(ok, "max_signal_over_length")
     return float(n[:, 0].max())

@@ -21,6 +21,10 @@ SUPPORTED_KAPPA = (0.0, 10.0)
 SUPPORTED_DELTA = (-10.0, 10.0)
 SUPPORTED_LENGTH = (0.0, 3.0)
 
+#: Largest relative distance between the frame-free occupations of the stacked paths and
+#: those of a map's V block, whose rows the frame phases turn (≈1e-15 is seen).
+MAP_RTOL = 1e-14
+
 
 def _finite(lo: float, hi: float):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)

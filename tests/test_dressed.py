@@ -136,8 +136,7 @@ def test_dressed_occupations_are_never_negative_at_tiny_lengths():
     # At L ~ 1e-12 … 1e-5 the bare-mode numbers (n_c + n_d)/2 ± Re<c†d> are differences
     # of nearly equal tiny values, and rounding can leave one below zero; the route
     # clamps it to 0.  Some of these cells must round below zero, or nothing is tested.
-    from zenopdc.dressed import _dressed_transfer
-    from zenopdc.dynamics import split_transfer
+    from zenopdc.dynamics import occupation_numbers
 
     rng = np.random.default_rng(31)
     rounded_below = 0
@@ -146,8 +145,8 @@ def test_dressed_occupations_are_never_negative_at_tiny_lengths():
                                delta=rng.uniform(-10.0, 10.0), length=10.0 ** rng.uniform(-12, -5))
         occ = propagate_dressed(params)
         assert occ.n_i >= 0.0 and occ.n_b >= 0.0, params
-        w, n = _dressed_transfer(params.gamma, params.kappa, params.delta, params.length)
-        v = split_transfer(w)[1]
+        v = dressed_bogoliubov_map(params).v_block
+        n = occupation_numbers(v)
         coherence = float(np.sum(np.conj(v[1]) * v[2]).real)
         half = 0.5 * (float(n[1]) + float(n[2]))
         rounded_below += min(half + coherence, half - coherence) < 0.0

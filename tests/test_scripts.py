@@ -81,7 +81,7 @@ def test_call_costs_prints_one_line_per_call():
              _run("call_costs.py", "--repeats", "1", "--number", "1").splitlines()]
     assert [name for name, _ in lines] == [
         f"{call} {n} cells" for n in (1, 33, 132, 257, 512)
-        for call in ("propagate_batch", "expm_i", "propagate_step")
+        for call in ("propagate_batch", "expm_i", "propagate_step", "transfer")
     ] + ["propagate_lengths 0.5 5 0 3 601", "max_signal_over_length 601", "resonant_vs_qpm 61",
          "vacuum_occupations(propagate_exact) 1 cell", "ridge point bookkeeping"]
     [float(us) for _, us in lines]  # each figure is a number; its size is not checked

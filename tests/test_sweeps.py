@@ -37,6 +37,8 @@ from zenopdc import dressed, dynamics, sweeps
 from zenopdc.params import require_ok
 from zenopdc.sweeps import TAG_CLOSED, TAG_FAILED, TAG_NUMERIC, TAGS
 
+from conftest import MAP_RTOL
+
 
 def _axis(name="kappa", start=0.0, stop=2.0, count=5):
     return SweepAxis(name=name, start=start, stop=stop, count=count)
@@ -146,9 +148,13 @@ def test_failed_cells_are_nan_and_counted():
 
 
 def _cell_by_cell(spec):
-    """Reference: every cell on its own, through CouplerParams and propagate_exact."""
+    """Reference: every cell on its own, through CouplerParams and a one-cell propagate_batch.
+
+    A numeric cell fails where ``propagate_exact`` raises; the third grid holds the n_s of
+    each numeric cell's map, ``vacuum_occupations(propagate_exact(p))``.
+    """
     shape = (spec.axis1.count, spec.axis2.count)
-    values = np.full(shape, np.nan)
+    values, mapped = np.full(shape, np.nan), np.full(shape, np.nan)
     provenance = np.full(shape, TAG_FAILED, dtype="<U16")
     for i, x in enumerate(spec.axis1.grid()):
         for j, y in enumerate(spec.axis2.grid()):
@@ -157,10 +163,13 @@ def _cell_by_cell(spec):
                 if spec.engine == ENGINE_CLOSED_WHEN_APPLICABLE and (p.delta == 0.0 or p.kappa == 0.0):
                     values[i, j], provenance[i, j] = closed_form_occupations(p)[0], TAG_CLOSED
                 else:
-                    values[i, j] = vacuum_occupations(propagate_exact(p)).n_s
+                    mapped[i, j] = vacuum_occupations(propagate_exact(p)).n_s
+                    values[i, j] = propagate_batch(p.gamma, p.kappa, p.delta, p.length)[0][0]
                     provenance[i, j] = TAG_NUMERIC
             except CouplerError:
                 pass
+    numeric = provenance == TAG_NUMERIC
+    np.testing.assert_allclose(values[numeric], mapped[numeric], rtol=MAP_RTOL, atol=0.0)
     return values, provenance
 
 
@@ -337,12 +346,14 @@ print(peak() - before)
 
 
 def test_stacked_paths_never_split_the_transfer_matrix(monkeypatch):
-    # Only a map builder splits W into (U, V); every stacked path reads n from the step.
-    def refuse(w):
-        raise AssertionError("split_transfer on a stacked path")
+    # Only a map builder forms W and splits it into (U, V); every stacked path reads n from
+    # the frame-free step.
+    def refuse(*args):
+        raise AssertionError("W formed or split on a stacked path")
 
     for module in (dynamics, dressed):
         monkeypatch.setattr(module, "split_transfer", refuse)
+        monkeypatch.setattr(module, "transfer", refuse)
     fixed = CouplerParams(0.5, 0.0, 1.0, 1.5)
     for engine in (ENGINE_NUMERIC, ENGINE_CLOSED_WHEN_APPLICABLE):
         assert sweep_2d(SweepSpec(fixed, _axis(), _axis("delta", -1.0, 1.0, 3), engine)).failures == 0
@@ -392,9 +403,12 @@ def test_ridge_kappa_opt_is_the_maximizer_to_tolerance():
     tol = 1e-6
     for p in find_anti_zeno_ridge(0.5, 1.5, [3.0, 5.0, 8.0, 10.0]):
         kappas = p.kappa_opt + tol * np.linspace(-4.0, 4.0, 33)
-        _, n, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
+        n, ok = propagate_batch(0.5, kappas, p.delta, 1.5)
         assert ok.all()
         assert n[:, 0].max() <= p.n_s_max * (1.0 + 1e-12)
+        mapped = [vacuum_occupations(propagate_exact(CouplerParams(0.5, k, p.delta, 1.5))).n_s
+                  for k in kappas]
+        assert max(mapped) <= p.n_s_max * (1.0 + 1e-12)
 
 
 def _sequential_ridge(gamma, length, delta, levels=None):
@@ -403,7 +417,7 @@ def _sequential_ridge(gamma, length, delta, levels=None):
     kappas = np.linspace(0.0, 2.0 * delta, sweeps._SCAN_POINTS)
     w, level = float(kappas[1]), "scan"
     while True:
-        _, n, ok = propagate_batch(gamma, kappas, delta, length)
+        n, ok = propagate_batch(gamma, kappas, delta, length)
         n_s = n[..., 0]
         require_ok(ok, f"ridge {level} at delta={delta}")
         if level == "scan" and n_s.max() <= n_s.min() * (1.0 + 1e-6):
